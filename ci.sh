@@ -44,8 +44,9 @@ done
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (deny warnings, incl. redundant clones)"
-cargo clippy --workspace --all-targets --offline -- -D warnings -W clippy::redundant-clone
+echo "==> cargo clippy (deny warnings, incl. redundant clones and unsafe without a SAFETY comment)"
+cargo clippy --workspace --all-targets --offline -- -D warnings -W clippy::redundant-clone \
+  -W clippy::undocumented-unsafe-blocks
 
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
@@ -116,8 +117,6 @@ if [[ "$PAR_DIFFERENTIAL" == 1 ]]; then
     || { echo "parallel replay digest differs between same-seed runs"; exit 1; }
   grep -q "plan_replays_parallel: [1-9]" /tmp/par_digest_1.txt \
     || { echo "digest never exercised the parallel replay path"; exit 1; }
-  grep -q "plan_replays_wavefront: [1-9]" /tmp/par_digest_1.txt \
-    || { echo "digest never exercised the wavefront replay path"; exit 1; }
   rm -f /tmp/par_digest_1.txt /tmp/par_digest_2.txt
 fi
 

@@ -5,8 +5,7 @@ use stem_bench::harness::{smoke, BenchmarkId, Criterion};
 use stem_bench::{criterion_group, criterion_main};
 use stem_core::{Value, VarId};
 use stem_engine::{
-    Command, ConstraintSpec, Durability, DurabilityOptions, Engine, EngineConfig, RollbackStrategy,
-    Source,
+    Command, ConstraintSpec, Durability, DurabilityOptions, Engine, EngineConfig, Source,
 };
 
 fn chain_session(engine: &Engine, len: usize) -> stem_engine::SessionId {
@@ -130,9 +129,8 @@ fn sparse_session(engine: &Engine, n: usize) -> stem_engine::SessionId {
 }
 
 /// Rollback latency of a violating two-variable batch as network size
-/// grows. The journaled path replays two pre-images whatever the size;
-/// the legacy snapshot path copies every variable, so its curve exposes
-/// the O(network) cost the journal removes (§9.2.3 cost model).
+/// grows. The journaled rollback replays two pre-images whatever the
+/// size, so the curve must stay flat (§9.2.3 cost model).
 fn rollback_latency(c: &mut Criterion) {
     let sizes: &[usize] = if smoke() {
         &[100, 1_000]
@@ -140,32 +138,26 @@ fn rollback_latency(c: &mut Criterion) {
         &[100, 1_000, 10_000, 100_000]
     };
     let mut group = c.benchmark_group("engine/rollback_latency");
-    for &(strategy, label) in &[
-        (RollbackStrategy::Journal, "journal"),
-        (RollbackStrategy::Snapshot, "snapshot"),
-    ] {
-        for &n in sizes {
-            let engine = Engine::with_config(EngineConfig {
-                workers: 1,
-                rollback: strategy,
-                ..EngineConfig::default()
-            });
-            let session = sparse_session(&engine, n);
-            group.bench_with_input(BenchmarkId::new(label, n), &n, |b, _| {
-                b.iter(|| {
-                    engine
-                        .apply(
-                            session,
-                            vec![Command::Set {
-                                var: VarId::from_index(0),
-                                value: Value::Int(100),
-                                source: Source::Application,
-                            }],
-                        )
-                        .unwrap_err()
-                })
-            });
-        }
+    for &n in sizes {
+        let engine = Engine::with_config(EngineConfig {
+            workers: 1,
+            ..EngineConfig::default()
+        });
+        let session = sparse_session(&engine, n);
+        group.bench_with_input(BenchmarkId::new("journal", n), &n, |b, _| {
+            b.iter(|| {
+                engine
+                    .apply(
+                        session,
+                        vec![Command::Set {
+                            var: VarId::from_index(0),
+                            value: Value::Int(100),
+                            source: Source::Application,
+                        }],
+                    )
+                    .unwrap_err()
+            })
+        });
     }
     group.finish();
 }

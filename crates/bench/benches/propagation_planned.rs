@@ -188,37 +188,6 @@ fn dispatch_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// Intra-cone wavefront pipelining: the dense fanout is ONE giant cone
-/// (src → mirrors → a single shared sum), so cone partitioning finds
-/// nothing to split — with a thread budget the levelizer pipelines the
-/// cone's steps layer-by-layer across the pool instead. On a one-CPU
-/// host this measures pure pipelining overhead (the id is recorded for
-/// tracking, not ratio-gated below 8 cores).
-fn wavefront_replay(c: &mut Criterion) {
-    let mut g = c.benchmark_group("propagation_planned/dense_fanout");
-    let fan = 256usize;
-    let (mut net, src) = workloads::dense_fanout(fan);
-    net.set_parallel_threads(8);
-    for i in 0..16 {
-        net.set(src, Value::Int(i), Justification::User).unwrap();
-    }
-    // 258 executing steps clear the 256-step partition floor; the
-    // single cone levelizes (one cone, widest layer = the mirrors).
-    assert_eq!(
-        net.plan_parallel_cones(src),
-        Some(1),
-        "warm-up must leave a wavefront plan in the cache"
-    );
-    let mut i = 100i64;
-    g.bench_function(format!("wave/{fan}"), |b| {
-        b.iter(|| {
-            i += 1;
-            net.set(src, Value::Int(i), Justification::User).unwrap();
-        })
-    });
-    g.finish();
-}
-
 fn quick() -> Criterion {
     Criterion::default()
         .warm_up_time(std::time::Duration::from_millis(300))
@@ -229,7 +198,7 @@ fn quick() -> Criterion {
 criterion_group!(
     name = benches;
     config = quick();
-    targets = dense_fanout, parallel_replay, wavefront_replay, equality_star, recompile_churn,
+    targets = dense_fanout, parallel_replay, equality_star, recompile_churn,
         dispatch_overhead
 );
 criterion_main!(benches);

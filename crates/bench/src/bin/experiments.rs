@@ -200,18 +200,16 @@ fn main() {
     print!(
         "{}",
         render_table(
-            "T-E21 — journaled vs. snapshot rollback: 200-var chain, value-only batches",
+            "T-E21 — journaled rollback: 200-var chain, value-only batches",
             &[
                 "workload",
-                "strategy",
                 "batches",
                 "ms",
                 "batches/s",
-                "speedup",
                 "net snapshots",
                 "net clones"
             ],
-            &experiments::t_e21_rollback_strategies(),
+            &experiments::t_e21_journal_rollback(),
         )
     );
 

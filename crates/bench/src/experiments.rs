@@ -714,31 +714,28 @@ pub fn t_e20_engine_throughput(worker_counts: &[usize]) -> Vec<Vec<String>> {
     rows
 }
 
-/// T-E21 — journaled vs. snapshot rollback on a 200-var equality chain
-/// (single session, one worker, value-only batches).
+/// T-E21 — journaled rollback on a 200-var equality chain (single
+/// session, one worker, value-only batches).
 ///
 /// Two workloads: *commit flood* (every batch sets the chain head to a
-/// fresh value and propagation floods all 200 variables) isolates the
-/// per-batch checkpoint overhead when the touched set IS the network;
+/// fresh value and propagation floods all 200 variables) measures the
+/// per-batch journaling overhead when the touched set IS the network;
 /// *rollback sparse* (the second variable holds a user-pinned value, so a
 /// conflicting Set on the head is denied after touching one variable —
-/// the §4.2.4 overwrite rule violating mid-propagation) isolates rollback
-/// cost when the touched set is tiny. The snapshot strategy pays
-/// O(network) for checkpoint and restore either way; the journal pays
-/// O(touched) (§9.2.3 cost model). Speedups are journal relative to
-/// snapshot per workload.
-pub fn t_e21_rollback_strategies() -> Vec<Vec<String>> {
-    use stem_engine::{Command, ConstraintSpec, Engine, EngineConfig, RollbackStrategy, Source};
+/// the §4.2.4 overwrite rule violating mid-propagation) measures rollback
+/// cost when the touched set is tiny. The journal pays O(touched)
+/// (§9.2.3 cost model); the snapshot and clone counters must stay 0.
+pub fn t_e21_journal_rollback() -> Vec<Vec<String>> {
+    use stem_engine::{Command, ConstraintSpec, Engine, EngineConfig, Source};
 
     const CHAIN: usize = 200;
     const ROUNDS: i64 = 2_000;
 
-    let build = |rollback: RollbackStrategy, pin: bool| {
+    let build = |pin: bool| {
         let engine = Engine::with_config(EngineConfig {
             workers: 1,
             queue_capacity: 64,
             step_budget: None,
-            rollback,
             propagation_threads: 1,
         });
         let s = engine.create_session();
@@ -770,8 +767,8 @@ pub fn t_e21_rollback_strategies() -> Vec<Vec<String>> {
     };
 
     let head = stem_core::VarId::from_index(0);
-    let run = |rollback: RollbackStrategy, violate: bool| {
-        let (engine, s) = build(rollback, violate);
+    let run = |violate: bool| {
+        let (engine, s) = build(violate);
         let t0 = Instant::now();
         for round in 0..ROUNDS {
             let value = if violate {
@@ -796,30 +793,15 @@ pub fn t_e21_rollback_strategies() -> Vec<Vec<String>> {
 
     let mut rows = Vec::new();
     for (workload, violate) in [("commit flood", false), ("rollback sparse", true)] {
-        let mut snapshot_bps = 0.0;
-        for (label, rollback) in [
-            ("snapshot", RollbackStrategy::Snapshot),
-            ("journal", RollbackStrategy::Journal),
-        ] {
-            let (dt, stats) = run(rollback, violate);
-            let bps = ROUNDS as f64 / dt.as_secs_f64();
-            let speedup = if label == "snapshot" {
-                snapshot_bps = bps;
-                "1.00×".to_string()
-            } else {
-                format!("{:.2}×", bps / snapshot_bps)
-            };
-            rows.push(vec![
-                workload.to_string(),
-                label.to_string(),
-                ROUNDS.to_string(),
-                ms(dt),
-                format!("{bps:.0}"),
-                speedup,
-                stats.net_snapshots.to_string(),
-                stats.net_clones.to_string(),
-            ]);
-        }
+        let (dt, stats) = run(violate);
+        rows.push(vec![
+            workload.to_string(),
+            ROUNDS.to_string(),
+            ms(dt),
+            format!("{:.0}", ROUNDS as f64 / dt.as_secs_f64()),
+            stats.net_snapshots.to_string(),
+            stats.net_clones.to_string(),
+        ]);
     }
     rows
 }

@@ -20,8 +20,8 @@ fn main() {
     let mut rng = SplitMix64::new(seed);
     for round in 0..16 {
         // Every fifth round collapses to a single cone: the partitioner
-        // finds nothing to split, so the plan levelizes into a wavefront
-        // and the digest covers the pipelined path too.
+        // finds nothing to split, so every replay falls back to the
+        // sequential path and the digest covers the fallback too.
         let cones = if round % 5 == 0 {
             1
         } else {
@@ -70,12 +70,8 @@ fn main() {
         // two-run byte-identical diff this digest exists to enforce.
         let ps = net.par_stats();
         println!(
-            "  par: plan_replays_parallel: {} plan_replays_wavefront: {} \
-             cones_executed: {} parallel_fallbacks: {}",
-            ps.plan_replays_parallel,
-            ps.plan_replays_wavefront,
-            ps.cones_executed,
-            ps.parallel_fallbacks
+            "  par: plan_replays_parallel: {} cones_executed: {} parallel_fallbacks: {}",
+            ps.plan_replays_parallel, ps.cones_executed, ps.parallel_fallbacks
         );
     }
 }

@@ -1697,11 +1697,10 @@ impl Network {
     }
 
     /// Sets the per-task cost floor for the replay-time pool admission:
-    /// a partitioned plan whose costliest single task (biggest cone, or
-    /// widest wavefront layer) has fewer executing steps than this runs
-    /// its kernels inline on the calling thread instead of paying pool
-    /// hand-off — the shape where `parallel/64` used to lose to
-    /// `par_seq/64`. The partition itself is kept (inline replay still
+    /// a partitioned plan whose biggest cone has fewer executing steps
+    /// than this runs its kernels inline on the calling thread instead
+    /// of paying pool hand-off — the shape where `parallel/64` used to
+    /// lose to `par_seq/64`. The partition itself is kept (inline replay still
     /// uses the kernelized cones, which beat interpreted dispatch), so
     /// changing the floor does not drop cached plans. Default 128.
     ///
@@ -1725,37 +1724,21 @@ impl Network {
     /// parallel kernel). Exposed for tests and benches to assert which
     /// path a replay takes.
     pub fn plan_parallel_cones(&self, var: VarId) -> Option<usize> {
-        match self.plans.get(var.index()) {
-            Some(PlanSlot::Ready(p)) if p.generation == self.structure_generation => {
-                p.par.as_ref().map(|pp| match &pp.exec {
-                    crate::par::ParExec::Cones(cones) => cones.len(),
-                    // A wavefront is one cone, pipelined.
-                    crate::par::ParExec::Wave(_) => 1,
-                })
-            }
-            _ => None,
-        }
+        self.plan_par_detail(var).map(|d| d.cones)
     }
 
     /// Diagnostic detail for `var`'s cached parallel partition, for the
-    /// inspector: cone count, wavefront layer depth (1 for independent
-    /// cones), the executing-step width of the costliest pool task, and
-    /// how many tasks were stolen during the most recent committed
-    /// parallel replay. `None` when there is no current partitioned plan.
+    /// inspector: cone count, the executing-step width of the biggest
+    /// cone, and how many tasks were stolen during the most recent
+    /// committed parallel replay. `None` when there is no current
+    /// partitioned plan.
     pub fn plan_par_detail(&self, var: VarId) -> Option<PlanParDetail> {
         match self.plans.get(var.index()) {
             Some(PlanSlot::Ready(p)) if p.generation == self.structure_generation => {
-                p.par.as_ref().map(|pp| {
-                    let (cones, layers) = match &pp.exec {
-                        crate::par::ParExec::Cones(cones) => (cones.len(), 1),
-                        crate::par::ParExec::Wave(w) => (1, w.layers.len()),
-                    };
-                    PlanParDetail {
-                        cones,
-                        layers,
-                        max_task_exec: pp.max_task_exec as usize,
-                        last_stolen: pp.last_stolen,
-                    }
+                p.par.as_ref().map(|pp| PlanParDetail {
+                    cones: pp.cones.len(),
+                    max_task_exec: pp.max_task_exec as usize,
+                    last_stolen: pp.last_stolen,
                 })
             }
             _ => None,
@@ -2246,19 +2229,19 @@ impl Network {
     }
 
     /// Replays `plan`'s parallel body concurrently: writes the root,
-    /// launches its cones (or its wavefront layers) on the worker pool
-    /// ([`crate::par`]), merges the final-check sets in sequential visit
-    /// order, and commits (journal entries, statistics) on success.
-    /// Returns `false` — with *every* write restored — whenever the
-    /// replay would deviate from the sequential outcome (an overwrite
-    /// denial inside a cone, or an unsatisfied visited constraint): the
-    /// caller then falls back to [`Network::run_plan`], which reproduces
-    /// the violation, its statistics and its handler calls exactly.
+    /// launches its cones on the worker pool ([`crate::par`]), merges the
+    /// final-check sets in sequential visit order, and commits (journal
+    /// entries, statistics) on success. Returns `false` — with *every*
+    /// write restored — whenever the replay would deviate from the
+    /// sequential outcome (an overwrite denial inside a cone, or an
+    /// unsatisfied visited constraint): the caller then falls back to
+    /// [`Network::run_plan`], which reproduces the violation, its
+    /// statistics and its handler calls exactly.
     ///
-    /// Replay-time cost gate: when the plan's costliest pool task
-    /// executes fewer steps than [`Network::set_parallel_cone_min_steps`],
-    /// the kernels run inline on this thread (`threads = 1` to the pool)
-    /// — same code path, same counters, no hand-off latency.
+    /// Replay-time cost gate: when the plan's biggest cone executes fewer
+    /// steps than [`Network::set_parallel_cone_min_steps`], the kernels
+    /// run inline on this thread (`threads = 1` to the pool) — same code
+    /// path, same counters, no hand-off latency.
     fn run_plan_parallel(
         &mut self,
         root: VarId,
@@ -2285,116 +2268,104 @@ impl Network {
             self.parallel_threads
         };
         let view = SlotsView::new(self.slots.as_mut_ptr(), self.slots.len());
-        let strengths: &[u8] = &par_plan.strengths;
-        let is_wave;
-        let n_cones;
-        let stolen;
-        let failed;
-        let mut visited: Vec<(u32, ConstraintId)> = Vec::new();
-        match &mut par_plan.exec {
-            par::ParExec::Cones(cones) => {
-                is_wave = false;
-                n_cones = cones.len() as u64;
-                {
-                    let tasks: Vec<par::ConeTask> = cones
-                        .iter_mut()
-                        .map(|c| par::ConeTask::new(c, strengths))
-                        .collect();
-                    // SAFETY: each task index runs exactly once; cones
-                    // have disjoint write sets and the main thread stays
-                    // out of the slot arena while the pool holds the view.
-                    stolen =
-                        par::pool_run(tasks.len(), threads, &|t| unsafe { tasks[t].run(&view) });
-                }
-                failed = cones.iter().any(|c| c.scratch.failed);
-                if !failed {
-                    // Merged final check in the sequential replay's visit
-                    // order (cones record each constraint's first live
-                    // sighting with its plan index; the sort restores the
-                    // global order).
-                    visited.extend(cones.iter().flat_map(|c| c.scratch.visited.iter().copied()));
-                }
-            }
-            par::ParExec::Wave(wave) => {
-                is_wave = true;
-                n_cones = 1;
-                // SAFETY: layer barriers inside `run_wave` order the
-                // chunks; the main thread stays out of the slot arena.
-                stolen = par::run_wave(wave, &view, strengths, threads);
-                failed = wave.failed();
-                if !failed {
-                    wave.collect_visited(&mut visited);
-                }
-            }
-        }
-        let mut ok = !failed;
-        if ok {
-            visited.sort_unstable_by_key(|&(ix, _)| ix);
-            ok = visited.iter().all(|&(_, cid)| {
-                let d = &self.constraints[cid.index()];
-                !d.active || !d.enabled || d.kind.is_satisfied(self, cid)
-            });
-        }
-        let par_plan = plan.par.as_mut().expect("checked above");
+        let stolen = {
+            let strengths: &[u8] = &par_plan.strengths;
+            let tasks: Vec<par::ConeTask> = par_plan
+                .cones
+                .iter_mut()
+                .map(|c| par::ConeTask::new(c, strengths))
+                .collect();
+            // SAFETY: each task index runs exactly once; cones have
+            // disjoint write sets and the main thread stays out of the
+            // slot arena while the pool holds the view.
+            par::pool_run(tasks.len(), threads, &|t| unsafe { tasks[t].run(&view) })
+        };
+        let ok = !par_plan.failed() && self.par_satisfied(par_plan, &mut Vec::new());
         if !ok {
-            let slots = &mut self.slots;
-            for (_, pre) in par_plan.tasks_mut() {
-                for (wvar, wvalue, wjust) in pre.drain(..) {
-                    let s = &mut slots[wvar.index()];
-                    s.value = wvalue;
-                    s.justification = wjust;
-                }
-            }
-            let s = &mut slots[root.index()];
+            self.par_restore(par_plan);
+            let s = &mut self.slots[root.index()];
             s.value = root_pre_value;
             s.justification = root_pre_just;
             return false;
         }
-        // Commit: drain the pre-images into the journal in plan order
-        // (cone order for a partition, chunk order for a wavefront —
-        // both are plan order; first-write-wins, the same inline
-        // journaling `propagate_set` performs) and fold the counters
-        // into the statistics at the same totals the sequential replay
-        // would have produced.
-        let mut assignments = 1; // the root write
-        let mut counters = crate::par::ConeCounters::default();
-        for (c, pre) in par_plan.tasks_mut() {
-            counters.activations += c.activations;
-            counters.inferences += c.inferences;
-            counters.schedules += c.schedules;
-            counters.scheduled_runs += c.scheduled_runs;
-            assignments += c.assignments;
-            for (wvar, wvalue, wjust) in pre.drain(..) {
-                if let Some(j) = &mut self.journal {
-                    let ix = wvar.index();
-                    if j.seen.len() <= ix {
-                        j.seen.resize(ix + 1, false);
-                    }
-                    if !j.seen[ix] {
-                        j.seen[ix] = true;
-                        j.entries.push(JournalEntry::Value {
-                            var: wvar,
-                            value: wvalue,
-                            justification: wjust,
-                        });
-                    }
-                }
-            }
-        }
-        self.stats.activations += counters.activations;
-        self.stats.inferences += counters.inferences;
-        self.stats.schedules += counters.schedules;
-        self.stats.scheduled_runs += counters.scheduled_runs;
-        self.stats.assignments += assignments;
-        self.stats.cycles += 1;
-        self.par_stats.plan_replays_parallel += 1;
-        self.par_stats.cones_executed += n_cones;
-        if is_wave {
-            self.par_stats.plan_replays_wavefront += 1;
-        }
+        self.par_commit(par_plan);
         self.par_stats.cones_stolen += stolen;
         par_plan.last_stolen = stolen;
         true
+    }
+
+    /// The merged final check of one parallel replay: every constraint
+    /// its cones dispatched must hold, tested in the sequential replay's
+    /// visit order (cones record each constraint's first live sighting
+    /// with its plan index; the sort restores the global order).
+    fn par_satisfied(
+        &self,
+        par_plan: &par::ParPlan,
+        visited: &mut Vec<(u32, ConstraintId)>,
+    ) -> bool {
+        visited.clear();
+        visited.extend(
+            par_plan
+                .cones
+                .iter()
+                .flat_map(|c| c.scratch.visited.iter().copied()),
+        );
+        visited.sort_unstable_by_key(|&(ix, _)| ix);
+        visited.iter().all(|&(_, cid)| {
+            let d = &self.constraints[cid.index()];
+            !d.active || !d.enabled || d.kind.is_satisfied(self, cid)
+        })
+    }
+
+    /// Writes back every pre-image an aborted parallel replay's cones
+    /// saved.
+    fn par_restore(&mut self, par_plan: &mut par::ParPlan) {
+        for cone in &mut par_plan.cones {
+            for (var, value, justification) in cone.scratch.pre.drain(..) {
+                let s = &mut self.slots[var.index()];
+                s.value = value;
+                s.justification = justification;
+            }
+        }
+    }
+
+    /// Commits one parallel replay: drains its pre-images into the
+    /// journal in plan order (cone order is plan order; first-write-wins,
+    /// the same inline journaling `propagate_set` performs) and folds the
+    /// counters into the statistics at the same totals the sequential
+    /// replay would have produced.
+    fn par_commit(&mut self, par_plan: &mut par::ParPlan) {
+        let mut assignments = 1; // the root write
+        for cone in &mut par_plan.cones {
+            let c = cone.scratch.counters;
+            self.stats.activations += c.activations;
+            self.stats.inferences += c.inferences;
+            self.stats.schedules += c.schedules;
+            self.stats.scheduled_runs += c.scheduled_runs;
+            assignments += c.assignments;
+            let Some(j) = &mut self.journal else {
+                cone.scratch.pre.clear();
+                continue;
+            };
+            for (var, value, justification) in cone.scratch.pre.drain(..) {
+                let ix = var.index();
+                if j.seen.len() <= ix {
+                    j.seen.resize(ix + 1, false);
+                }
+                if !j.seen[ix] {
+                    j.seen[ix] = true;
+                    j.entries.push(JournalEntry::Value {
+                        var,
+                        value,
+                        justification,
+                    });
+                }
+            }
+        }
+        self.stats.assignments += assignments;
+        self.stats.cycles += 1;
+        self.par_stats.plan_replays_parallel += 1;
+        self.par_stats.cones_executed += par_plan.cones.len() as u64;
     }
 
     /// Applies a sequence of external assignments in order. With
@@ -2450,17 +2421,10 @@ impl Network {
                 break; // leave forged-record validation to the sequential path
             }
             let ix = var.index();
-            // Only cone partitions overlap: a wavefront plan's layer
-            // barriers would serialize the whole group, so its root
-            // replays alone via the single-root path.
             let ready = matches!(
                 self.plans.get(ix),
                 Some(PlanSlot::Ready(p))
-                    if p.generation == self.structure_generation
-                        && matches!(
-                            p.par.as_deref(),
-                            Some(par::ParPlan { exec: par::ParExec::Cones(_), .. })
-                        )
+                    if p.generation == self.structure_generation && p.par.is_some()
             );
             if !ready {
                 break;
@@ -2526,11 +2490,8 @@ impl Network {
                 .iter_mut()
                 .flat_map(|(_, plan)| {
                     let par::ParPlan {
-                        exec, strengths, ..
+                        cones, strengths, ..
                     } = &mut **plan.par.as_mut().expect("admitted with partition");
-                    let par::ParExec::Cones(cones) = exec else {
-                        unreachable!("admitted cone partitions only");
-                    };
                     let strengths: &[u8] = strengths;
                     cones
                         .iter_mut()
@@ -2541,48 +2502,21 @@ impl Network {
             // disjointness across the whole group.
             stolen = par::pool_run(tasks.len(), threads, &|t| unsafe { tasks[t].run(&view) });
         }
-        fn group_cones(plan: &PropPlan) -> &Vec<par::ParCone> {
-            let par::ParExec::Cones(cones) =
-                &plan.par.as_ref().expect("admitted with partition").exec
-            else {
-                unreachable!("admitted cone partitions only");
-            };
-            cones
+        fn par_of(plan: &PropPlan) -> &par::ParPlan {
+            plan.par.as_deref().expect("admitted with partition")
         }
-        let mut ok = !group
-            .iter()
-            .any(|(_, plan)| group_cones(plan).iter().any(|c| c.scratch.failed));
-        if ok {
-            let mut visited: Vec<(u32, ConstraintId)> = Vec::new();
-            'plans: for (_, plan) in &group {
-                visited.clear();
-                for c in group_cones(plan) {
-                    visited.extend(c.scratch.visited.iter().copied());
-                }
-                visited.sort_unstable_by_key(|&(ix, _)| ix);
-                for &(_, cid) in &visited {
-                    let d = &self.constraints[cid.index()];
-                    if d.active && d.enabled && !d.kind.is_satisfied(self, cid) {
-                        ok = false;
-                        break 'plans;
-                    }
-                }
-            }
-        }
+        let mut visited = Vec::new();
+        let ok = !group.iter().any(|(_, plan)| par_of(plan).failed())
+            && group
+                .iter()
+                .all(|(_, plan)| self.par_satisfied(par_of(plan), &mut visited));
         if !ok {
             // Unwind the whole group; the caller's sequential loop
             // reproduces the exact per-root outcomes (statistics,
             // violation index, handler calls). Non-violating roots will
             // typically re-commit via the single-root parallel path.
             for (_, plan) in group.iter_mut() {
-                let p = plan.par.as_mut().expect("admitted with partition");
-                for (_, pre) in p.tasks_mut() {
-                    for (wvar, wvalue, wjust) in pre.drain(..) {
-                        let s = &mut self.slots[wvar.index()];
-                        s.value = wvalue;
-                        s.justification = wjust;
-                    }
-                }
+                self.par_restore(plan.par.as_mut().expect("admitted with partition"));
             }
             for ((var, _), (value, justification)) in group.iter().zip(root_pre) {
                 let s = &mut self.slots[var.index()];
@@ -2597,43 +2531,10 @@ impl Network {
         // Commit every root: same journal entries and statistics as k
         // sequential cached replays.
         for (_, plan) in group.iter_mut() {
-            let n_cones = group_cones(plan).len() as u64;
             let p = plan.par.as_mut().expect("admitted with partition");
+            self.par_commit(p);
             p.last_stolen = stolen; // group total: the job was merged
-            let mut assignments = 1; // the root write
-            let mut counters = crate::par::ConeCounters::default();
-            for (c, pre) in p.tasks_mut() {
-                counters.activations += c.activations;
-                counters.inferences += c.inferences;
-                counters.schedules += c.schedules;
-                counters.scheduled_runs += c.scheduled_runs;
-                assignments += c.assignments;
-                for (wvar, wvalue, wjust) in pre.drain(..) {
-                    if let Some(j) = &mut self.journal {
-                        let ix = wvar.index();
-                        if j.seen.len() <= ix {
-                            j.seen.resize(ix + 1, false);
-                        }
-                        if !j.seen[ix] {
-                            j.seen[ix] = true;
-                            j.entries.push(JournalEntry::Value {
-                                var: wvar,
-                                value: wvalue,
-                                justification: wjust,
-                            });
-                        }
-                    }
-                }
-            }
-            self.stats.activations += counters.activations;
-            self.stats.inferences += counters.inferences;
-            self.stats.schedules += counters.schedules;
-            self.stats.scheduled_runs += counters.scheduled_runs;
-            self.stats.assignments += assignments;
-            self.stats.cycles += 1;
             self.stats.plan_cache_hits += 1;
-            self.par_stats.plan_replays_parallel += 1;
-            self.par_stats.cones_executed += n_cones;
         }
         self.par_stats.cones_stolen += stolen;
         for (var, p) in group {

@@ -13,11 +13,8 @@
 //! 1. partitions a plan's steps into cones at compile time
 //!    ([`build_par`]), refusing whenever a step's effect cannot be
 //!    replicated off-thread (no [`ParKernel`], a non-plain write target,
-//!    or a plan below the size threshold); a plan that collapses into a
-//!    *single* cone is levelized instead ([`build_wave`]): its steps are
-//!    sorted into dependency layers (writer-before-reader, including
-//!    write-after-read anti-dependencies) so one giant cone executes
-//!    layer by layer across workers — the wavefront pipeline;
+//!    a plan below the size threshold, or a plan whose steps form a
+//!    single connected cone — nothing to run side by side);
 //! 2. executes cones on a lazily spawned global worker pool
 //!    ([`pool_run`]) against a raw, `Send + Sync` view of the value
 //!    slots ([`SlotsView`]) — safe because the compile-time partition
@@ -44,7 +41,7 @@ use crate::plan::{PlanOp, PropPlan};
 use crate::value::Value;
 use std::cell::UnsafeCell;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, OnceLock};
 
 // The whole design rests on value state crossing threads; fail the build,
@@ -66,17 +63,12 @@ pub struct ParStats {
     /// Total cones executed across all parallel replays.
     pub cones_executed: u64,
     /// Planned replays that wanted the parallel path but ran sequentially:
-    /// the plan has no partition (single unlayerable cone, below
+    /// the plan has no partition (a single connected cone, below
     /// threshold, or an unkernelable step), or the parallel attempt
     /// aborted (violation).
     pub parallel_fallbacks: u64,
-    /// Committed parallel replays that executed as a levelized wavefront
-    /// (one giant cone pipelined layer-by-layer) rather than as
-    /// independent cones. Deterministic for a fixed op sequence.
-    pub plan_replays_wavefront: u64,
-    /// Pool tasks (cones or wavefront chunks) claimed by an executor
-    /// other than the owner of their deque, summed over committed
-    /// replays. Schedule-dependent: this counter varies run to run and
+    /// Pool tasks (cones) claimed by an executor other than the owner
+    /// of their deque, summed over committed replays. Schedule-dependent: this counter varies run to run and
     /// is excluded from determinism digests and differential stats.
     pub cones_stolen: u64,
 }
@@ -257,17 +249,6 @@ pub(crate) struct ParCone {
     pub(crate) scratch: ConeScratch,
 }
 
-/// How a plan's parallel body executes: as independent cones, or as one
-/// levelized cone pipelined layer-by-layer.
-#[derive(Debug, Clone)]
-pub(crate) enum ParExec {
-    /// Two or more independent cones, one pool task each.
-    Cones(Vec<ParCone>),
-    /// A single connected cone whose steps were levelized into
-    /// dependency layers; each layer fans out across chunk tasks.
-    Wave(WavePlan),
-}
-
 /// The cone partition of one compiled plan, stored alongside the
 /// sequential step vectors inside [`PropPlan`] — so the plan's
 /// generation counter covers the partition metadata too, and a
@@ -283,8 +264,7 @@ pub(crate) struct ParPlan {
     /// `ConstraintId::index`. Snapshotted at compile time so overwrite
     /// arbitration runs off-thread without touching the `Rc` kinds.
     pub(crate) strengths: Vec<u8>,
-    /// Executing-step count of the costliest single pool task (the
-    /// biggest cone, or the widest wavefront layer). The replay-time
+    /// Executing-step count of the biggest cone. The replay-time
     /// admission heuristic compares this against
     /// `Network::set_parallel_cone_min_steps`: when every task is below
     /// the floor, pool hand-off costs more than it buys and the replay
@@ -293,14 +273,16 @@ pub(crate) struct ParPlan {
     /// Pool tasks stolen during the most recent committed replay of
     /// this plan (diagnostic only — surfaced by the inspector).
     pub(crate) last_stolen: u64,
-    pub(crate) exec: ParExec,
+    /// Two or more independent cones, one pool task each, in plan order.
+    pub(crate) cones: Vec<ParCone>,
 }
 
-/// One task's committed scratch: its counter block plus the pre-image
-/// buffer the commit/abort paths drain.
-pub(crate) type TaskScratchRef<'a> = (ConeCounters, &'a mut Vec<(VarId, Value, Justification)>);
-
 impl ParPlan {
+    /// Whether some cone of the last replay hit an overwrite denial.
+    pub(crate) fn failed(&self) -> bool {
+        self.cones.iter().any(|c| c.scratch.failed)
+    }
+
     /// Whether this plan's variable set is disjoint from `other` (both
     /// sorted): the admission test for overlapping two roots' replays.
     pub(crate) fn refs_disjoint(a: &[u32], b: &[u32]) -> bool {
@@ -341,25 +323,6 @@ impl ParPlan {
         merged.extend_from_slice(&src[j..]);
         *dst = merged;
     }
-
-    /// Per-task `(counters, pre-image buffer)` pairs in plan order —
-    /// cone order for a partition, chunk order for a wavefront; both
-    /// orders are plan order, so a first-write-wins drain over them
-    /// journals exactly what the sequential replay would.
-    pub(crate) fn tasks_mut(&mut self) -> Box<dyn Iterator<Item = TaskScratchRef<'_>> + '_> {
-        match &mut self.exec {
-            ParExec::Cones(cones) => Box::new(
-                cones
-                    .iter_mut()
-                    .map(|c| (c.scratch.counters, &mut c.scratch.pre)),
-            ),
-            ParExec::Wave(w) => Box::new(
-                w.chunks
-                    .iter_mut()
-                    .map(|c| (c.scratch.counters, &mut c.scratch.pre)),
-            ),
-        }
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -389,7 +352,15 @@ pub(crate) struct SlotsView {
     len: usize,
 }
 
+// SAFETY: the view is a pointer into a `Vec<ValueSlot>` the replaying
+// network keeps alive and untouched until every task has joined, and a
+// `ValueSlot` holds only a `Value` and a `Justification`, both asserted
+// `Send + Sync` at the top of this module, so handing the pointer to a
+// pool thread moves no thread-bound state.
 unsafe impl Send for SlotsView {}
+// SAFETY: shared use only ever reaches the slots through `get`/`get_mut`,
+// whose callers follow the partition discipline above: no slot is
+// written by one thread while another thread reads or writes it.
 unsafe impl Sync for SlotsView {}
 
 impl SlotsView {
@@ -425,6 +396,10 @@ pub(crate) struct ConeTask<'a> {
     strengths: &'a [u8],
 }
 
+// SAFETY: the `UnsafeCell` is only entered through `run`, which
+// `pool_run` calls once per task index on exactly one executor, so no
+// two threads ever hold the inner `&mut ParCone` at once; `strengths` is
+// shared read-only data.
 unsafe impl Sync for ConeTask<'_> {}
 
 impl<'a> ConeTask<'a> {
@@ -502,6 +477,11 @@ fn arbitrate_write(
 
 /// One propagated write against the raw slot view: arbitrate, then
 /// write, saving the pre-image and marking the target live.
+///
+/// # Safety
+///
+/// `target` must be one of the calling cone's exclusive writes (see
+/// [`SlotsView`]).
 unsafe fn write_slot(
     scratch: &mut ConeScratch,
     slots: &SlotsView,
@@ -603,6 +583,7 @@ fn run_kernel(scratch: &mut ConeScratch, slots: &SlotsView, strengths: &[u8], st
                 return; // a Nil change propagates nothing
             }
             for &t in targets {
+                // SAFETY: every target is this cone's exclusive write.
                 unsafe {
                     write_slot(
                         scratch,
@@ -632,6 +613,7 @@ fn run_kernel(scratch: &mut ConeScratch, slots: &SlotsView, strengths: &[u8], st
             let Some(value) = computed else {
                 return; // no information: the constraint does not fire
             };
+            // SAFETY: the result is this cone's exclusive write.
             unsafe {
                 write_slot(
                     scratch,
@@ -645,338 +627,6 @@ fn run_kernel(scratch: &mut ConeScratch, slots: &SlotsView, strengths: &[u8], st
             }
         }
     }
-}
-
-// ----------------------------------------------------------------------
-// Wavefront execution (one giant cone, pipelined layer-by-layer)
-// ----------------------------------------------------------------------
-
-/// Minimum executing steps per wavefront chunk — below this, splitting a
-/// layer finer only adds hand-off latency.
-const WAVE_CHUNK_MIN_EXEC: usize = 4;
-
-/// Maximum chunks one layer fans out into.
-const MAX_WAVE_CHUNKS: usize = 8;
-
-/// Replay state shared by every chunk of a wavefront: the liveness mark
-/// tables become atomic because chunks of the *same* layer race on them
-/// (value slots never race — levelization separates a variable's writer
-/// from all of its readers, in both directions).
-#[derive(Debug, Default)]
-pub(crate) struct WaveMarks {
-    /// Epoch for the mark tables; bumped once per replay.
-    epoch: u32,
-    /// Per cone-local variable: epoch of the replay in which it last
-    /// changed (index 0 is the root, live by fiat). Written by the
-    /// variable's single writer step, read by strictly later layers.
-    var_marks: Vec<AtomicU32>,
-    /// Per cone-local agenda entry: epoch of its first live sighting.
-    /// `swap` makes the schedules counter exactly-once across chunks.
-    entry_marks: Vec<AtomicU32>,
-    /// Per cone-local constraint: minimum plan index of a live dispatch
-    /// this replay (`u32::MAX` = none). `fetch_min` makes the merged
-    /// visited order deterministic — the minimum is the first dispatch
-    /// in plan order, exactly what the sequential replay records —
-    /// regardless of which chunk got there first in wall time.
-    cid_first: Vec<AtomicU32>,
-    /// An overwrite was denied somewhere: stop dispatching layers and
-    /// abort the attempt.
-    failed: AtomicBool,
-}
-
-impl Clone for WaveMarks {
-    fn clone(&self) -> Self {
-        let load = |v: &[AtomicU32]| {
-            v.iter()
-                .map(|m| AtomicU32::new(m.load(Ordering::Relaxed)))
-                .collect()
-        };
-        WaveMarks {
-            epoch: self.epoch,
-            var_marks: load(&self.var_marks),
-            entry_marks: load(&self.entry_marks),
-            cid_first: load(&self.cid_first),
-            failed: AtomicBool::new(self.failed.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-/// A chunk's private replay state: pre-images of its writes and its
-/// share of the counter deltas.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ChunkScratch {
-    pub(crate) pre: Vec<(VarId, Value, Justification)>,
-    pub(crate) counters: ConeCounters,
-}
-
-/// A contiguous plan-order slice of one dependency layer, executed as
-/// one pool task. Static chunking keeps the journal drain order (chunk
-/// order = plan order) deterministic under any steal schedule.
-#[derive(Debug, Clone)]
-pub(crate) struct WaveChunk {
-    steps: Vec<ParStep>,
-    pub(crate) scratch: ChunkScratch,
-}
-
-/// A levelized single-cone plan: `chunks` grouped into `layers`, each
-/// layer a barrier — layer `k+1` launches only after every chunk of
-/// layer `k` completed (the pool join provides the happens-before).
-#[derive(Debug, Clone)]
-pub(crate) struct WavePlan {
-    pub(crate) chunks: Vec<WaveChunk>,
-    /// Half-open chunk index ranges, one per layer.
-    pub(crate) layers: Vec<(u32, u32)>,
-    pub(crate) marks: WaveMarks,
-    /// Cone-local constraint index → global id, for reconstructing the
-    /// visited list from `cid_first` on commit.
-    cid_of: Vec<ConstraintId>,
-}
-
-impl WavePlan {
-    pub(crate) fn failed(&self) -> bool {
-        self.marks.failed.load(Ordering::Relaxed)
-    }
-
-    /// Reconstructs the first-live-dispatch list in plan order.
-    pub(crate) fn collect_visited(&self, out: &mut Vec<(u32, ConstraintId)>) {
-        for (local, first) in self.marks.cid_first.iter().enumerate() {
-            let first = first.load(Ordering::Relaxed);
-            if first != u32::MAX {
-                out.push((first, self.cid_of[local]));
-            }
-        }
-    }
-}
-
-/// One wavefront pool task: a chunk plus the shared mark tables.
-pub(crate) struct WaveTask<'a> {
-    chunk: UnsafeCell<&'a mut WaveChunk>,
-    marks: &'a WaveMarks,
-    strengths: &'a [u8],
-}
-
-unsafe impl Sync for WaveTask<'_> {}
-
-impl<'a> WaveTask<'a> {
-    pub(crate) fn new(chunk: &'a mut WaveChunk, marks: &'a WaveMarks, strengths: &'a [u8]) -> Self {
-        WaveTask {
-            chunk: UnsafeCell::new(chunk),
-            marks,
-            strengths,
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Must be called at most once per layer launch, by the one worker
-    /// that claimed this task index.
-    pub(crate) unsafe fn run(&self, slots: &SlotsView, epoch: u32) {
-        let chunk: &mut WaveChunk = &mut **self.chunk.get();
-        run_wave_chunk(chunk, self.marks, slots, self.strengths, epoch);
-    }
-}
-
-/// Replays a levelized cone: reset the shared marks, then run each layer
-/// across the pool with a join barrier between layers. Returns the steal
-/// count accumulated over all layers.
-pub(crate) fn run_wave(
-    wave: &mut WavePlan,
-    slots: &SlotsView,
-    strengths: &[u8],
-    threads: usize,
-) -> u64 {
-    let WavePlan {
-        chunks,
-        layers,
-        marks,
-        ..
-    } = wave;
-    marks.epoch = marks.epoch.wrapping_add(1);
-    if marks.epoch == 0 {
-        for m in &marks.var_marks {
-            m.store(0, Ordering::Relaxed);
-        }
-        for m in &marks.entry_marks {
-            m.store(0, Ordering::Relaxed);
-        }
-        marks.epoch = 1;
-    }
-    for m in &marks.cid_first {
-        m.store(u32::MAX, Ordering::Relaxed);
-    }
-    marks.failed.store(false, Ordering::Relaxed);
-    let epoch = marks.epoch;
-    // The root (local index 0) is live by fiat, as in `run_cone`.
-    marks.var_marks[0].store(epoch, Ordering::Relaxed);
-    for chunk in chunks.iter_mut() {
-        chunk.scratch.pre.clear();
-        chunk.scratch.counters = ConeCounters::default();
-    }
-    let marks: &WaveMarks = marks;
-    let mut stolen = 0;
-    for &(start, end) in layers.iter() {
-        if marks.failed.load(Ordering::Relaxed) {
-            break;
-        }
-        let layer = &mut chunks[start as usize..end as usize];
-        let tasks: Vec<WaveTask> = layer
-            .iter_mut()
-            .map(|c| WaveTask::new(c, marks, strengths))
-            .collect();
-        // SAFETY: pool_run dispatches each task index exactly once; the
-        // join before returning gives layer k's writes a happens-before
-        // edge to layer k+1's reads.
-        stolen += pool_run(tasks.len(), threads, &|t| unsafe {
-            tasks[t].run(slots, epoch)
-        });
-    }
-    stolen
-}
-
-/// Executes one chunk's steps, mirroring `run_cone` step-for-step but
-/// against the shared atomic mark tables.
-fn run_wave_chunk(
-    chunk: &mut WaveChunk,
-    marks: &WaveMarks,
-    slots: &SlotsView,
-    strengths: &[u8],
-    epoch: u32,
-) {
-    let scratch = &mut chunk.scratch;
-    for step in &chunk.steps {
-        if marks.failed.load(Ordering::Relaxed) {
-            return;
-        }
-        if step.op == PlanOp::RunScheduled {
-            if marks.entry_marks[step.entry as usize].load(Ordering::Relaxed) != epoch {
-                continue; // never actually scheduled this replay
-            }
-            scratch.counters.scheduled_runs += 1;
-            scratch.counters.inferences += 1;
-            run_wave_kernel(scratch, marks, slots, strengths, step, epoch);
-        } else {
-            if marks.var_marks[step.trigger as usize].load(Ordering::Relaxed) != epoch {
-                continue; // value-pruned
-            }
-            marks.cid_first[step.cid_local as usize].fetch_min(step.plan_idx, Ordering::Relaxed);
-            scratch.counters.activations += 1;
-            match step.op {
-                PlanOp::Immediate => {
-                    scratch.counters.inferences += 1;
-                    run_wave_kernel(scratch, marks, slots, strengths, step, epoch);
-                }
-                PlanOp::NoActivate => {}
-                _ => {
-                    if marks.entry_marks[step.entry as usize].swap(epoch, Ordering::Relaxed)
-                        != epoch
-                    {
-                        scratch.counters.schedules += 1;
-                    }
-                }
-            }
-        }
-    }
-}
-
-fn run_wave_kernel(
-    scratch: &mut ChunkScratch,
-    marks: &WaveMarks,
-    slots: &SlotsView,
-    strengths: &[u8],
-    step: &ParStep,
-    epoch: u32,
-) {
-    match &step.kernel {
-        ConeKernel::Check => {}
-        ConeKernel::Copy { source, targets } => {
-            // SAFETY: levelization puts this read strictly after the
-            // source's writer layer (or the source is the root/ambient,
-            // written before launch); targets are this step's exclusive
-            // writes.
-            let new_value = unsafe { slots.get(source.index()) }.value.clone();
-            if new_value.is_nil() {
-                return; // a Nil change propagates nothing
-            }
-            for &t in targets {
-                unsafe {
-                    wave_write_slot(
-                        scratch,
-                        marks,
-                        slots,
-                        strengths,
-                        t,
-                        new_value.clone(),
-                        step.cid,
-                        DependencyRecord::Single(*source),
-                        epoch,
-                    );
-                }
-            }
-        }
-        ConeKernel::Apply { op, inputs, result } => {
-            // SAFETY: as above — every cone-written input is in an
-            // earlier layer; the result is this step's exclusive write.
-            let computed = unsafe {
-                if inputs.iter().any(|&v| slots.get(v.index()).value.is_nil()) {
-                    None
-                } else {
-                    op.apply(inputs.iter().map(|&v| &slots.get(v.index()).value))
-                }
-            };
-            let Some(value) = computed else {
-                return; // no information: the constraint does not fire
-            };
-            unsafe {
-                wave_write_slot(
-                    scratch,
-                    marks,
-                    slots,
-                    strengths,
-                    *result,
-                    value,
-                    step.cid,
-                    DependencyRecord::All,
-                    epoch,
-                );
-            }
-        }
-    }
-}
-
-/// The wavefront twin of [`write_slot`]: same arbitration, pre-image to
-/// the chunk's scratch, liveness mark through the shared atomic table.
-#[allow(clippy::too_many_arguments)]
-unsafe fn wave_write_slot(
-    scratch: &mut ChunkScratch,
-    marks: &WaveMarks,
-    slots: &SlotsView,
-    strengths: &[u8],
-    target: ParWrite,
-    value: Value,
-    source: ConstraintId,
-    record: DependencyRecord,
-    epoch: u32,
-) {
-    let s = slots.get_mut(target.var.index());
-    match arbitrate_write(s, &value, strengths, source) {
-        WriteGate::Skip => return,
-        WriteGate::Deny => {
-            marks.failed.store(true, Ordering::Relaxed);
-            return;
-        }
-        WriteGate::Proceed => {}
-    }
-    let pre_value = std::mem::replace(&mut s.value, value);
-    let pre_just = std::mem::replace(
-        &mut s.justification,
-        Justification::Propagated {
-            constraint: source,
-            record,
-        },
-    );
-    scratch.pre.push((target.var, pre_value, pre_just));
-    marks.var_marks[target.local as usize].store(epoch, Ordering::Relaxed);
-    scratch.counters.assignments += 1;
 }
 
 // ----------------------------------------------------------------------
@@ -1012,8 +662,8 @@ fn uf_union(parent: &mut [u32], a: u32, b: u32) {
 ///   set disagrees with `planned_writes` (a buggy third-party kind);
 /// - any write target is not a plain-kind variable (the off-thread
 ///   overwrite rule is `PlainKind`'s);
-/// - the steps form a single connected component whose dependency
-///   layers are all single-file ([`build_wave`] refuses a pure chain).
+/// - the steps form a single connected component: there is nothing to
+///   run side by side.
 pub(crate) fn build_par(
     net: &Network,
     root: VarId,
@@ -1090,178 +740,23 @@ pub(crate) fn build_par(
         });
         builds[cix].push_step(plan, i, kernel.take())?;
     }
+    if builds.len() < 2 {
+        return None;
+    }
     // Combined variable footprint for batch-overlap admission.
     let mut refs: Vec<u32> = Vec::with_capacity(var_owner.len() + 1);
     refs.push(root.0);
     refs.extend(var_owner.keys().map(|v| v.0));
     refs.sort_unstable();
     refs.dedup();
-    let strengths = net.constraint_slot_strengths();
-    if builds.len() < 2 {
-        // A single connected component has no cones to overlap, but it
-        // may still pipeline across its dependency layers.
-        let build = builds.pop()?;
-        let (wave, widest) = build_wave(build)?;
-        return Some(Box::new(ParPlan {
-            refs,
-            strengths,
-            max_task_exec: widest,
-            last_stolen: 0,
-            exec: ParExec::Wave(wave),
-        }));
-    }
     let max_task_exec = builds.iter().map(ConeBuild::exec_steps).max().unwrap_or(0);
     Some(Box::new(ParPlan {
         refs,
-        strengths,
+        strengths: net.constraint_slot_strengths(),
         max_task_exec,
         last_stolen: 0,
-        exec: ParExec::Cones(builds.into_iter().map(ConeBuild::finish).collect()),
+        cones: builds.into_iter().map(ConeBuild::finish).collect(),
     }))
-}
-
-/// Levelizes a single connected cone into dependency layers for
-/// wavefront execution. A step's layer is one past the deepest layer it
-/// depends on: the writer of its activation trigger, the schedulers of
-/// its agenda entry, the writers of every cone-local variable its kernel
-/// reads (read-after-write), and the readers of every variable it writes
-/// (write-after-read — the sequential replay may read a pre-write value
-/// that a same-layer write would clobber). Returns `None` when no layer
-/// holds two executing steps — a pure chain gains nothing from the
-/// pipeline and stays on the sequential path.
-fn build_wave(build: ConeBuild) -> Option<(WavePlan, u32)> {
-    const NONE: u32 = u32::MAX;
-    fn after(lvl: &mut u32, dep: u32) {
-        if dep != NONE {
-            *lvl = (*lvl).max(dep + 1);
-        }
-    }
-    fn raise(slot: &mut u32, lvl: u32) {
-        if *slot == NONE || *slot < lvl {
-            *slot = lvl;
-        }
-    }
-    let ConeBuild {
-        steps,
-        local_vars,
-        local_cids,
-        local_entries,
-    } = build;
-    let mut writer_level = vec![NONE; local_vars.len()];
-    let mut reader_level = vec![NONE; local_vars.len()];
-    let mut entry_level = vec![NONE; local_entries.len()];
-    let mut level_of: Vec<u32> = Vec::with_capacity(steps.len());
-    for step in &steps {
-        let mut lvl = 0u32;
-        if step.op == PlanOp::RunScheduled {
-            after(&mut lvl, entry_level[step.entry as usize]);
-        } else if step.trigger != 0 {
-            // The liveness gate reads the trigger's mark, stamped by its
-            // single writer step (the root, local 0, is pre-stamped).
-            after(&mut lvl, writer_level[step.trigger as usize]);
-        }
-        match &step.kernel {
-            ConeKernel::Check => {}
-            ConeKernel::Copy { source, targets } => {
-                if let Some(&l) = local_vars.get(source) {
-                    after(&mut lvl, writer_level[l as usize]);
-                }
-                for t in targets {
-                    after(&mut lvl, reader_level[t.local as usize]);
-                }
-            }
-            ConeKernel::Apply { inputs, result, .. } => {
-                for v in inputs {
-                    if let Some(&l) = local_vars.get(v) {
-                        after(&mut lvl, writer_level[l as usize]);
-                    }
-                }
-                after(&mut lvl, reader_level[result.local as usize]);
-            }
-        }
-        match &step.kernel {
-            ConeKernel::Check => {}
-            ConeKernel::Copy { source, targets } => {
-                if let Some(&l) = local_vars.get(source) {
-                    raise(&mut reader_level[l as usize], lvl);
-                }
-                for t in targets {
-                    writer_level[t.local as usize] = lvl;
-                }
-            }
-            ConeKernel::Apply { inputs, result, .. } => {
-                for v in inputs {
-                    if let Some(&l) = local_vars.get(v) {
-                        raise(&mut reader_level[l as usize], lvl);
-                    }
-                }
-                writer_level[result.local as usize] = lvl;
-            }
-        }
-        if !matches!(
-            step.op,
-            PlanOp::RunScheduled | PlanOp::Immediate | PlanOp::NoActivate
-        ) {
-            raise(&mut entry_level[step.entry as usize], lvl);
-        }
-        level_of.push(lvl);
-    }
-    let n_levels = level_of.iter().copied().max().map_or(0, |m| m as usize + 1);
-    let mut per_level: Vec<Vec<ParStep>> = Vec::new();
-    per_level.resize_with(n_levels, Vec::new);
-    for (step, &lvl) in steps.into_iter().zip(&level_of) {
-        per_level[lvl as usize].push(step);
-    }
-    let layer_exec = |lvl_steps: &[ParStep]| {
-        lvl_steps
-            .iter()
-            .filter(|s| matches!(s.op, PlanOp::Immediate | PlanOp::RunScheduled))
-            .count()
-    };
-    let widest = per_level.iter().map(|l| layer_exec(l)).max().unwrap_or(0) as u32;
-    if widest < 2 {
-        return None;
-    }
-    let mut chunks: Vec<WaveChunk> = Vec::new();
-    let mut layers: Vec<(u32, u32)> = Vec::with_capacity(per_level.len());
-    for lvl_steps in per_level {
-        let n_chunks = (layer_exec(&lvl_steps) / WAVE_CHUNK_MIN_EXEC)
-            .clamp(1, MAX_WAVE_CHUNKS)
-            .min(lvl_steps.len());
-        let start = chunks.len() as u32;
-        let m = lvl_steps.len();
-        let (base, extra) = (m / n_chunks, m % n_chunks);
-        let mut it = lvl_steps.into_iter();
-        for i in 0..n_chunks {
-            let take = base + usize::from(i < extra);
-            chunks.push(WaveChunk {
-                steps: it.by_ref().take(take).collect(),
-                scratch: ChunkScratch::default(),
-            });
-        }
-        layers.push((start, chunks.len() as u32));
-    }
-    let mut pairs: Vec<(u32, ConstraintId)> = local_cids.iter().map(|(&c, &l)| (l, c)).collect();
-    pairs.sort_unstable_by_key(|p| p.0);
-    let cid_of: Vec<ConstraintId> = pairs.into_iter().map(|p| p.1).collect();
-    let marks = WaveMarks {
-        epoch: 0,
-        var_marks: (0..local_vars.len()).map(|_| AtomicU32::new(0)).collect(),
-        entry_marks: (0..local_entries.len())
-            .map(|_| AtomicU32::new(0))
-            .collect(),
-        cid_first: (0..cid_of.len()).map(|_| AtomicU32::new(NONE)).collect(),
-        failed: AtomicBool::new(false),
-    };
-    Some((
-        WavePlan {
-            chunks,
-            layers,
-            marks,
-            cid_of,
-        },
-        widest,
-    ))
 }
 
 /// Accumulator for one cone during partitioning: step list plus the
@@ -1390,6 +885,8 @@ const MAX_POOL_WORKERS: usize = 64;
 /// workers only dereference the pointer while the slot is live).
 struct SendFnPtr(*const (dyn Fn(usize) + Sync));
 
+// SAFETY: the pointee is `Sync`, so calling it from a helper thread is
+// sound, and `pool_run` keeps it alive until every task has completed.
 unsafe impl Send for SendFnPtr {}
 
 /// One submitted job: a closure plus per-executor work-stealing deques.
@@ -1398,8 +895,7 @@ unsafe impl Send for SendFnPtr {}
 /// was just handed, still cache-warm) and, when dry, sweeps the other
 /// deques from the front (FIFO — the oldest, least-contended work).
 /// Claims happen under the pool lock: on the hermetic target the lock is
-/// the synchronization point anyway, and it doubles as the
-/// happens-before barrier wavefront layers rely on.
+/// the synchronization point anyway.
 struct PoolJob {
     f: SendFnPtr,
     /// Per-executor deques, filled contiguously at submit time.
@@ -1535,10 +1031,10 @@ impl Pool {
                 };
                 let f = j.f.0;
                 drop(guard);
-                // SAFETY: the job slot is live (outstanding > 0), so the
-                // submitter is still inside `pool_run` and the closure
-                // is alive on its stack.
                 let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    // SAFETY: the job slot is live (outstanding > 0), so
+                    // the submitter is still inside `pool_run` and the
+                    // closure is alive on its stack.
                     (unsafe { &*f })(t);
                 }))
                 .is_err();
@@ -1582,7 +1078,10 @@ pub(crate) fn pool_run(n_tasks: usize, threads: usize, f: &(dyn Fn(usize) + Sync
     for t in 0..n_tasks {
         queues[t * n_queues / n_tasks].push_back(t);
     }
-    // Erase the closure's lifetime for the job slot; see `SendFnPtr`.
+    // SAFETY: only the lifetime is erased; the type is unchanged. The
+    // extended reference is stored in the job slot alone, and this call
+    // clears that slot before it returns or unwinds — after the last
+    // task completed — so no helper dereferences it once `f` is gone.
     let f_static: &'static (dyn Fn(usize) + Sync) = unsafe { std::mem::transmute(f) };
     let ji = {
         let mut guard = pool.state.lock().unwrap_or_else(|e| e.into_inner());

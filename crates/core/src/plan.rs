@@ -102,14 +102,10 @@ pub(crate) enum PlanSlot {
 /// skew without a profiler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlanParDetail {
-    /// Independent cones in the partition (1 for a wavefront plan).
+    /// Independent cones in the partition (always ≥ 2).
     pub cones: usize,
-    /// Wavefront layer depth (1 for independent cones — a single
-    /// barrier-free launch).
-    pub layers: usize,
-    /// Executing steps in the costliest single pool task (largest cone
-    /// or widest layer) — what the pool-admission floor compares
-    /// against.
+    /// Executing steps in the largest cone — what the pool-admission
+    /// floor compares against.
     pub max_task_exec: usize,
     /// Pool tasks stolen during the most recent committed parallel
     /// replay of this plan. Schedule-dependent; diagnostic only.

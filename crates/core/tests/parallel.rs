@@ -315,37 +315,30 @@ fn repeated_runs_are_deterministic() {
 }
 
 #[test]
-fn wavefront_pipelines_single_giant_cone_and_matches_sequential() {
+fn single_giant_cone_falls_back_and_matches_sequential() {
     // One connected cone: src —eq→ head, head —eq→ 12 mirrors, sum into
-    // out. PR 7's partitioner found a single component here and fell
-    // back; the wavefront path must levelize it (mirrors form one wide
-    // layer) and stay byte-identical at every thread count.
+    // out. The partitioner finds a single component, so the plan gets no
+    // partition: every replay on a thread-enabled network falls back to
+    // the sequential path and stays byte-identical at every thread count.
     let mut reference: Option<(String, String)> = None;
     for threads in [1usize, 2, 4, 8] {
         let mut net = Network::new();
         net.set_parallel_threads(threads);
         net.set_parallel_min_steps(1);
-        net.set_parallel_cone_min_steps(1); // force real pool dispatch
+        net.set_parallel_cone_min_steps(1); // the pool would be admitted
         let (src, outs) = fanout(&mut net, "", 1, 12);
         for round in 0..5i64 {
             net.set(src, Value::Int(round + 2), Justification::User)
                 .unwrap();
         }
         assert_eq!(net.value(outs[0]), &Value::Int(6 * 12));
-        if threads > 1 {
-            assert_eq!(net.plan_parallel_cones(src), Some(1), "one wave cone");
-            let detail = net.plan_par_detail(src).unwrap();
-            assert_eq!(detail.cones, 1);
-            assert!(detail.layers >= 2, "mirrors form a later layer");
-            assert_eq!(detail.max_task_exec, 12, "widest layer: the mirrors");
-            let ps = net.par_stats();
-            assert_eq!(ps.plan_replays_parallel, 5);
-            assert_eq!(ps.plan_replays_wavefront, 5);
-            assert_eq!(ps.cones_executed, 5);
-            assert_eq!(ps.parallel_fallbacks, 0);
-        } else {
-            assert_eq!(net.plan_parallel_cones(src), None);
-        }
+        assert_eq!(net.plan_parallel_cones(src), None, "one cone: no partition");
+        assert_eq!(net.plan_par_detail(src), None);
+        let ps = net.par_stats();
+        assert_eq!(ps.plan_replays_parallel, 0);
+        assert_eq!(ps.cones_executed, 0);
+        let fallbacks = if threads > 1 { 5 } else { 0 };
+        assert_eq!(ps.parallel_fallbacks, fallbacks, "one per replay");
         let state = (dump(&net), format!("{:?}", net.stats()));
         match &reference {
             None => reference = Some(state),
@@ -355,7 +348,7 @@ fn wavefront_pipelines_single_giant_cone_and_matches_sequential() {
 }
 
 #[test]
-fn wavefront_violation_aborts_and_matches_sequential() {
+fn single_cone_violation_falls_back_and_matches_sequential() {
     let run = |threads: usize| {
         let mut net = Network::new();
         net.set_parallel_threads(threads);
@@ -369,10 +362,15 @@ fn wavefront_violation_aborts_and_matches_sequential() {
             .set(src, Value::Int(9), Justification::User) // 9·10 > 40
             .unwrap_err();
         assert_eq!(net.value(outs[0]), &Value::Int(30), "restored");
+        assert_eq!(net.plan_parallel_cones(src), None);
+        let ps = net.par_stats();
+        assert_eq!(ps.plan_replays_parallel, 0);
+        let fallbacks = if threads > 1 { 2 } else { 0 };
+        assert_eq!(ps.parallel_fallbacks, fallbacks, "one per replay");
         (dump(&net), format!("{err:?}"), format!("{:?}", net.stats()))
     };
     let sequential = run(1);
-    for threads in [2, 8] {
+    for threads in [2, 4, 8] {
         assert_eq!(run(threads), sequential, "diverged at {threads} threads");
     }
 }

@@ -33,23 +33,6 @@ impl fmt::Display for SessionId {
     }
 }
 
-/// How a worker undoes a failed batch ([`EngineConfig::rollback`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RollbackStrategy {
-    /// Change-journal rollback (the default): the network records each
-    /// touched variable's pre-image and journalable structural edits, and
-    /// a failed batch replays the journal in reverse — O(touched set).
-    /// Batches containing a non-journalable command
-    /// ([`Command::is_journalable`]) still fall back to clone-and-swap.
-    #[default]
-    Journal,
-    /// Legacy whole-network checkpointing: value-only batches
-    /// `snapshot()`/`restore_snapshot()`, structural batches run on a
-    /// clone — both O(network size). Kept for differential testing and
-    /// benchmarking against the journal path.
-    Snapshot,
-}
-
 /// Engine construction parameters ([`Engine::with_config`]).
 #[derive(Debug, Clone, Copy)]
 pub struct EngineConfig {
@@ -64,8 +47,6 @@ pub struct EngineConfig {
     /// cleanly with `ViolationKind::BudgetExceeded` and rolls its batch
     /// back.
     pub step_budget: Option<u64>,
-    /// Batch rollback mechanism; see [`RollbackStrategy`].
-    pub rollback: RollbackStrategy,
     /// Replay thread budget installed in every session network
     /// ([`stem_core::Network::set_parallel_threads`]). At the default of
     /// 1 every propagation is sequential; above 1, cached plans are
@@ -82,7 +63,6 @@ impl Default for EngineConfig {
             workers: thread::available_parallelism().map_or(4, |n| n.get().min(8)),
             queue_capacity: 128,
             step_budget: None,
-            rollback: RollbackStrategy::default(),
             propagation_threads: 1,
         }
     }
@@ -419,7 +399,6 @@ impl Engine {
             let worker_depth = depth.clone();
             let worker_counters = counters.clone();
             let step_budget = config.step_budget;
-            let rollback = config.rollback;
             let propagation_threads = config.propagation_threads;
             let worker_store = store.clone();
             let worker_group = group.clone();
@@ -438,7 +417,6 @@ impl Engine {
                             depth: worker_depth,
                             counters: worker_counters,
                             step_budget,
-                            rollback,
                             propagation_threads,
                             sessions: HashMap::new(),
                             mode,
@@ -1179,7 +1157,6 @@ struct Worker {
     depth: Arc<AtomicUsize>,
     counters: Arc<Counters>,
     step_budget: Option<u64>,
-    rollback: RollbackStrategy,
     /// Per-network replay thread budget
     /// ([`EngineConfig::propagation_threads`]), stamped on every session
     /// network at creation and recovery.
@@ -1381,7 +1358,6 @@ impl Worker {
                     stats.wipeouts = net_stats.wipeouts;
                     let par_stats = sess.net.par_stats();
                     stats.plan_replays_parallel = par_stats.plan_replays_parallel;
-                    stats.plan_replays_wavefront = par_stats.plan_replays_wavefront;
                     stats.cones_executed = par_stats.cones_executed;
                     stats.cones_stolen = par_stats.cones_stolen;
                     stats.parallel_fallbacks = par_stats.parallel_fallbacks;
@@ -1488,7 +1464,6 @@ impl Worker {
     ) -> Result<BatchOutcome, BatchError> {
         let counters = self.counters.clone();
         counters.batches.fetch_add(1, Ordering::Relaxed);
-        let rollback = self.rollback;
         let logging = self.logging();
         let store = self.store.clone();
         let group = self.group.clone();
@@ -1530,114 +1505,49 @@ impl Worker {
                 None
             };
 
-        let use_journal =
-            rollback == RollbackStrategy::Journal && commands.iter().all(Command::is_journalable);
         let before: Stats = sess.net.stats();
         let before_par: ParStats = sess.net.par_stats();
-        let result = if use_journal {
-            // Journaled transaction: the network records pre-images and
-            // structural undo entries as the batch runs; failure replays
-            // them in reverse. Cost is O(touched set) — no snapshot, no
-            // clone, regardless of network size.
-            sess.net.begin_journal();
-            let net = &mut sess.net;
-            match catch_unwind(AssertUnwindSafe(|| apply_all(net, commands))) {
-                Ok(Ok(outputs)) => {
-                    // Log before acknowledging: the journal stays open so
-                    // a failed append rolls the whole batch back and the
-                    // client's error means "not committed, not durable".
-                    match append_commit(&store, &group, id, sess.seq, key, to_log) {
-                        Ok(logged) => {
-                            sess.net.commit_journal();
-                            note_logged(sess, logged);
-                            let delta =
-                                delta(before, before_par, sess.net.stats(), sess.net.par_stats());
-                            Ok((outputs, delta))
-                        }
-                        Err(err) => {
-                            sess.net.rollback_journal();
-                            Err(BatchError::Persist {
-                                message: err.to_string(),
-                            })
-                        }
-                    }
-                }
-                Ok(Err((index, violation))) => {
-                    sess.net.rollback_journal();
-                    Err(BatchError::Violation { index, violation })
-                }
-                Err(payload) => {
-                    // The panic may have unwound out of an active cycle;
-                    // finish its restoration (journal-coherently), then
-                    // undo the rest of the batch.
-                    sess.net.abort_cycle();
-                    sess.net.rollback_journal();
-                    Err(BatchError::Panicked {
-                        index: usize::MAX,
-                        message: panic_message(payload),
-                    })
-                }
-            }
-        } else if commands.iter().any(Command::is_structural) {
-            // Legacy snapshot strategy with structural commands: run the
-            // batch on a clone and swap it in only on success. (Under the
-            // default journal strategy every command is journalable, so
-            // this path is never taken there.)
-            let mut work = sess.net.clone();
-            match catch_unwind(AssertUnwindSafe(|| apply_all(&mut work, commands))) {
-                Ok(Ok(outputs)) => match append_commit(&store, &group, id, sess.seq, key, to_log) {
+        // Journaled transaction: the network records pre-images and
+        // structural undo entries as the batch runs; failure replays them
+        // in reverse. Cost is O(touched set) — no snapshot, no clone,
+        // regardless of network size.
+        sess.net.begin_journal();
+        let net = &mut sess.net;
+        let result = match catch_unwind(AssertUnwindSafe(|| apply_all(net, commands))) {
+            Ok(Ok(outputs)) => {
+                // Log before acknowledging: the journal stays open so a
+                // failed append rolls the whole batch back and the
+                // client's error means "not committed, not durable".
+                match append_commit(&store, &group, id, sess.seq, key, to_log) {
                     Ok(logged) => {
-                        let delta = delta(before, before_par, work.stats(), work.par_stats());
-                        sess.net = work;
-                        note_logged(sess, logged);
-                        Ok((outputs, delta))
-                    }
-                    // `work` is dropped: the session keeps its pre-batch
-                    // state, matching what recovery would rebuild.
-                    Err(err) => Err(BatchError::Persist {
-                        message: err.to_string(),
-                    }),
-                },
-                Ok(Err((index, violation))) => Err(BatchError::Violation { index, violation }),
-                Err(payload) => Err(BatchError::Panicked {
-                    index: usize::MAX,
-                    message: panic_message(payload),
-                }),
-            }
-        } else {
-            // Legacy value-only path: whole-network snapshot/restore.
-            let snap = sess.net.snapshot();
-            let net = &mut sess.net;
-            match catch_unwind(AssertUnwindSafe(|| apply_all(net, commands))) {
-                Ok(Ok(outputs)) => match append_commit(&store, &group, id, sess.seq, key, to_log) {
-                    Ok(logged) => {
+                        sess.net.commit_journal();
                         note_logged(sess, logged);
                         let delta =
                             delta(before, before_par, sess.net.stats(), sess.net.par_stats());
                         Ok((outputs, delta))
                     }
                     Err(err) => {
-                        sess.net.restore_snapshot(&snap);
+                        sess.net.rollback_journal();
                         Err(BatchError::Persist {
                             message: err.to_string(),
                         })
                     }
-                },
-                Ok(Err((index, violation))) => {
-                    sess.net.restore_snapshot(&snap);
-                    Err(BatchError::Violation { index, violation })
                 }
-                Err(payload) => {
-                    // The panic may have unwound out of an active cycle;
-                    // finish its restoration before re-imposing the
-                    // pre-batch snapshot.
-                    sess.net.abort_cycle();
-                    sess.net.restore_snapshot(&snap);
-                    Err(BatchError::Panicked {
-                        index: usize::MAX,
-                        message: panic_message(payload),
-                    })
-                }
+            }
+            Ok(Err((index, violation))) => {
+                sess.net.rollback_journal();
+                Err(BatchError::Violation { index, violation })
+            }
+            Err(payload) => {
+                // The panic may have unwound out of an active cycle;
+                // finish its restoration (journal-coherently), then undo
+                // the rest of the batch.
+                sess.net.abort_cycle();
+                sess.net.rollback_journal();
+                Err(BatchError::Panicked {
+                    index: usize::MAX,
+                    message: panic_message(payload),
+                })
             }
         };
 
@@ -1660,9 +1570,6 @@ impl Worker {
                 counters
                     .plan_replays_parallel
                     .fetch_add(d.plan_replays_parallel, Ordering::Relaxed);
-                counters
-                    .plan_replays_wavefront
-                    .fetch_add(d.plan_replays_wavefront, Ordering::Relaxed);
                 counters
                     .cones_executed
                     .fetch_add(d.cones_executed, Ordering::Relaxed);
@@ -1772,7 +1679,6 @@ struct BatchDelta {
     plan_cache_hits: u64,
     plan_cache_invalidations: u64,
     plan_replays_parallel: u64,
-    plan_replays_wavefront: u64,
     cones_executed: u64,
     cones_stolen: u64,
     parallel_fallbacks: u64,
@@ -1793,9 +1699,6 @@ fn delta(before: Stats, before_par: ParStats, after: Stats, after_par: ParStats)
         plan_replays_parallel: after_par
             .plan_replays_parallel
             .saturating_sub(before_par.plan_replays_parallel),
-        plan_replays_wavefront: after_par
-            .plan_replays_wavefront
-            .saturating_sub(before_par.plan_replays_wavefront),
         cones_executed: after_par
             .cones_executed
             .saturating_sub(before_par.cones_executed),

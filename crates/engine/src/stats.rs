@@ -34,7 +34,6 @@ pub(crate) struct Counters {
     pub plan_cache_hits: AtomicU64,
     pub plan_cache_invalidations: AtomicU64,
     pub plan_replays_parallel: AtomicU64,
-    pub plan_replays_wavefront: AtomicU64,
     pub cones_executed: AtomicU64,
     pub cones_stolen: AtomicU64,
     pub parallel_fallbacks: AtomicU64,
@@ -95,7 +94,6 @@ impl Counters {
             plan_cache_hits: self.plan_cache_hits.load(Ordering::Relaxed),
             plan_cache_invalidations: self.plan_cache_invalidations.load(Ordering::Relaxed),
             plan_replays_parallel: self.plan_replays_parallel.load(Ordering::Relaxed),
-            plan_replays_wavefront: self.plan_replays_wavefront.load(Ordering::Relaxed),
             cones_executed: self.cones_executed.load(Ordering::Relaxed),
             cones_stolen: self.cones_stolen.load(Ordering::Relaxed),
             parallel_fallbacks: self.parallel_fallbacks.load(Ordering::Relaxed),
@@ -154,13 +152,8 @@ pub struct EngineStats {
     /// exceeds 1). Every cache hit on a thread-enabled session lands in
     /// exactly one of this counter or [`EngineStats::parallel_fallbacks`].
     pub plan_replays_parallel: u64,
-    /// Committed parallel replays that executed as a levelized wavefront
-    /// (one giant cone pipelined layer-by-layer) rather than independent
-    /// cones — a subset of [`EngineStats::plan_replays_parallel`].
-    pub plan_replays_wavefront: u64,
     /// Cones executed by committed parallel replays, across all sessions
-    /// (a wavefront replay counts as one cone; a cone-partition replay
-    /// counts ≥ 2).
+    /// (every parallel replay counts ≥ 2).
     pub cones_executed: u64,
     /// Pool tasks claimed by a worker other than the one they were dealt
     /// to (work stealing), summed over committed parallel replays.
@@ -233,12 +226,11 @@ pub struct SessionStats {
     pub n_variables: u64,
     /// Active constraints currently in the session's network.
     pub n_constraints: u64,
-    /// Times the session's network took a full `snapshot()` — stays 0 as
-    /// long as every batch rolls back through the change journal.
+    /// Times the session's network took a full `snapshot()`. The engine
+    /// rolls every batch back through the change journal, so this stays
+    /// 0; a non-zero reading means an O(network) copy crept back in.
     pub net_snapshots: u64,
-    /// Times the session's network was cloned (clone-and-swap rollback
-    /// path; stays 0 under the default journal strategy now that every
-    /// command — including constraint removal — is journalable).
+    /// Times the session's network was cloned — 0 for the same reason.
     pub net_clones: u64,
     /// Propagation plans this session's network has compiled (including
     /// uncompilable verdicts).
@@ -252,11 +244,7 @@ pub struct SessionStats {
     /// thread-enabled session every cached replay counts in exactly one
     /// of this counter or [`SessionStats::parallel_fallbacks`].
     pub plan_replays_parallel: u64,
-    /// Committed parallel replays that ran as a levelized wavefront — a
-    /// subset of [`SessionStats::plan_replays_parallel`].
-    pub plan_replays_wavefront: u64,
-    /// Cones executed by this session's committed parallel replays (a
-    /// wavefront replay counts as one).
+    /// Cones executed by this session's committed parallel replays.
     pub cones_executed: u64,
     /// Pool tasks stolen during this session's committed parallel
     /// replays. Schedule-dependent; diagnostic only.
@@ -306,7 +294,6 @@ impl EngineStats {
             plan_cache_hits,
             plan_cache_invalidations,
             plan_replays_parallel,
-            plan_replays_wavefront,
             cones_executed,
             cones_stolen,
             parallel_fallbacks,
@@ -338,7 +325,6 @@ impl EngineStats {
         self.plan_cache_hits += plan_cache_hits;
         self.plan_cache_invalidations += plan_cache_invalidations;
         self.plan_replays_parallel += plan_replays_parallel;
-        self.plan_replays_wavefront += plan_replays_wavefront;
         self.cones_executed += cones_executed;
         self.cones_stolen += cones_stolen;
         self.parallel_fallbacks += parallel_fallbacks;

@@ -17,7 +17,9 @@
 //! finds the whole record. What can never happen is a *partial* batch.
 
 use std::fs;
-use std::path::PathBuf;
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use stem_core::{Justification, Value, VarId};
 use stem_engine::{
@@ -28,10 +30,36 @@ use stem_persist::{failing_factory, ByteBudget};
 
 const SESSIONS: u64 = 2;
 
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-crash-matrix-{tag}-{}", std::process::id()));
+/// A store directory unique to one call, removed when dropped. Tests in
+/// this binary run in parallel and several share a tag (every sweep
+/// measures its workload under "measure"), so the name carries a
+/// process-wide counter besides the pid: two live stores never share a
+/// directory, and hence never contend for its LOCK.
+struct TempDir(PathBuf);
+
+impl Deref for TempDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = fs::remove_dir_all(&self.0);
+    }
+}
+
+fn temp_dir(tag: &str) -> TempDir {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let d = std::env::temp_dir().join(format!(
+        "stem-crash-matrix-{tag}-{}-{n}",
+        std::process::id()
+    ));
     let _ = fs::remove_dir_all(&d);
-    d
+    TempDir(d)
 }
 
 fn config() -> EngineConfig {
@@ -246,7 +274,7 @@ fn check_crash_point(tag: &str, budget_bytes: usize, make_workload: impl Fn() ->
         file_factory: Some(failing_factory(budget)),
         ..opts()
     };
-    let result = match Engine::open_with_config(&dir, config(), failing) {
+    let result = match Engine::open_with_config(&*dir, config(), failing) {
         Ok(engine) => {
             for _ in 0..SESSIONS {
                 engine.create_session();
@@ -266,7 +294,7 @@ fn check_crash_point(tag: &str, budget_bytes: usize, make_workload: impl Fn() ->
     // Recover from whatever prefix actually reached "disk". Observing a
     // session that was never recovered yields an empty dump, which is
     // exactly what the reference produces for a session with no batches.
-    let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
+    let engine = Engine::open_with_config(&*dir, config(), opts()).unwrap();
     let recovered = observe_all(&engine);
 
     // Continuation leg: commit new acknowledged data on top of the
@@ -285,7 +313,7 @@ fn check_crash_point(tag: &str, budget_bytes: usize, make_workload: impl Fn() ->
     }
     let after_append = observe_all(&engine);
     engine.shutdown();
-    let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
+    let engine = Engine::open_with_config(&*dir, config(), opts()).unwrap();
     assert_eq!(
         observe_all(&engine),
         after_append,
@@ -311,24 +339,22 @@ fn check_crash_point(tag: &str, budget_bytes: usize, make_workload: impl Fn() ->
         result.acked + 1,
         result.persist_failed,
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Disk footprint of the full scripted workload, measured on real files.
 fn full_run_bytes(make_workload: impl Fn() -> Workload) -> usize {
     let dir = temp_dir("measure");
-    let engine = Engine::open_with_config(&dir, config(), opts()).unwrap();
+    let engine = Engine::open_with_config(&*dir, config(), opts()).unwrap();
     for _ in 0..SESSIONS {
         engine.create_session();
     }
     let r = drive(&engine, make_workload());
     assert!(!r.persist_failed);
     engine.shutdown();
-    let total: u64 = fs::read_dir(&dir)
+    let total: u64 = fs::read_dir(&*dir)
         .unwrap()
         .map(|e| e.unwrap().metadata().unwrap().len())
         .sum();
-    let _ = fs::remove_dir_all(&dir);
     total as usize
 }
 

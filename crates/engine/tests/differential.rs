@@ -1,20 +1,20 @@
-//! Differential check of the two rollback strategies: a journal-strategy
-//! engine and a snapshot-strategy engine fed identical SplitMix64-derived
-//! batch workloads must produce identical per-batch outcomes and
-//! byte-identical `DumpValues` dumps after every batch — including batches
-//! that violate mid-propagation and roll back.
+//! Differential check of journaled batch rollback: an engine fed
+//! SplitMix64-derived batch workloads is compared, batch by batch, with a
+//! reference — a fresh engine that replays only the batches the engine
+//! under test committed. Per-batch outcomes must match, and the
+//! `DumpValues` dump after every batch must be byte-identical to the
+//! reference's, so a batch that violates mid-propagation and rolls back
+//! must leave the session exactly as if it had never been applied.
 
 use stem_core::prng::SplitMix64;
 use stem_core::{Value, VarId};
 use stem_engine::{
-    BatchError, BatchOutcome, Command, ConstraintSpec, Engine, EngineConfig, RollbackStrategy,
-    SessionId,
+    BatchError, BatchOutcome, Command, ConstraintSpec, Engine, EngineConfig, SessionId,
 };
 
-fn engine(rollback: RollbackStrategy) -> Engine {
+fn engine() -> Engine {
     Engine::with_config(EngineConfig {
         workers: 1,
-        rollback,
         ..EngineConfig::default()
     })
 }
@@ -81,7 +81,8 @@ fn dump(engine: &Engine, session: SessionId) -> String {
     format!("{:?}", out.outputs)
 }
 
-fn build_chain(engine: &Engine, session: SessionId, n: usize) -> usize {
+/// A chain of `n` variables under `n - 1` equalities plus one predicate.
+fn chain_batch(n: usize) -> Vec<Command> {
     let mut batch: Vec<Command> = (0..n)
         .map(|i| Command::AddVariable {
             name: format!("v{i}"),
@@ -98,165 +99,171 @@ fn build_chain(engine: &Engine, session: SessionId, n: usize) -> usize {
         spec: ConstraintSpec::LeConst(Value::Int(60)),
         args: vec![VarId::from_index(n / 2)],
     });
-    engine.apply(session, batch).expect("chain builds clean");
-    n // constraints: n-1 equalities + 1 predicate = n
+    batch
+}
+
+/// Builds one batch. Commands are not `Clone`, so each engine that
+/// applies the batch builds its own copy.
+type Recipe = Box<dyn Fn() -> Vec<Command>>;
+
+/// The recipe for the next [`gen_batch`] draw, advancing `rng` past it.
+fn random_batch(
+    rng: &mut SplitMix64,
+    n_vars: usize,
+    n_constraints: usize,
+    structural: bool,
+    removals: bool,
+) -> Recipe {
+    let start = *rng;
+    gen_batch(rng, n_vars, n_constraints, structural, removals);
+    Box::new(move || {
+        let mut rng = start;
+        gen_batch(&mut rng, n_vars, n_constraints, structural, removals)
+    })
+}
+
+/// An engine session under test plus the batches it has committed.
+struct Checked {
+    engine: Engine,
+    session: SessionId,
+    committed: Vec<Recipe>,
+}
+
+impl Checked {
+    fn new(setup: Recipe) -> Self {
+        let engine = engine();
+        let session = engine.create_session();
+        engine.apply(session, setup()).expect("setup builds clean");
+        Checked {
+            engine,
+            session,
+            committed: vec![setup],
+        }
+    }
+
+    /// Applies `batch` and checks it against the reference: a fresh
+    /// engine that replays only the committed batches, then `batch`. The
+    /// outcomes must match, and the state afterwards must equal the
+    /// reference's — before `batch` if it rolled back, after it if it
+    /// committed. Returns whether the batch failed.
+    fn apply(&mut self, batch: Recipe, what: &str) -> bool {
+        let reference = engine();
+        let rs = reference.create_session();
+        for b in &self.committed {
+            reference
+                .apply(rs, b())
+                .expect("committed batches replay cleanly");
+        }
+        let untouched = dump(&reference, rs);
+        let expected_outcome = reference.apply(rs, batch());
+        let outcome = self.engine.apply(self.session, batch());
+        assert_eq!(
+            render(&outcome),
+            render(&expected_outcome),
+            "outcome diverged at {what}"
+        );
+        let expected_state = if outcome.is_ok() {
+            self.committed.push(batch);
+            dump(&reference, rs)
+        } else {
+            untouched
+        };
+        assert_eq!(
+            dump(&self.engine, self.session),
+            expected_state,
+            "state diverged after {what}"
+        );
+        reference.shutdown();
+        outcome.is_err()
+    }
 }
 
 #[test]
-fn journal_and_snapshot_rollback_agree_on_random_workloads() {
-    let journal_eng = engine(RollbackStrategy::Journal);
-    let snapshot_eng = engine(RollbackStrategy::Snapshot);
-    let js = journal_eng.create_session();
-    let ss = snapshot_eng.create_session();
-
+fn journal_rollback_matches_committed_only_replay() {
     let n_vars = 10;
-    let n_constraints = build_chain(&journal_eng, js, n_vars);
-    build_chain(&snapshot_eng, ss, n_vars);
+    let n_constraints = n_vars; // n-1 equalities + 1 predicate
+    let mut checked = Checked::new(Box::new(move || chain_batch(n_vars)));
+    let mut rng = SplitMix64::new(0xD1FF);
 
-    // Phase 1: value-only workloads — the journal engine must serve every
-    // batch without a single network snapshot or clone.
-    let mut rng_j = SplitMix64::new(0xD1FF);
-    let mut rng_s = SplitMix64::new(0xD1FF);
+    // Phase 1: value-only workloads — every batch is served without a
+    // single network snapshot or clone.
     let mut violations = 0usize;
     for round in 0..120 {
-        let bj = gen_batch(&mut rng_j, n_vars, n_constraints, false, false);
-        let bs = gen_batch(&mut rng_s, n_vars, n_constraints, false, false);
-        let rj = journal_eng.apply(js, bj);
-        let rs = snapshot_eng.apply(ss, bs);
-        if rj.is_err() {
+        let batch = random_batch(&mut rng, n_vars, n_constraints, false, false);
+        if checked.apply(batch, &format!("value round {round}")) {
             violations += 1;
         }
-        assert_eq!(
-            render(&rj),
-            render(&rs),
-            "outcome diverged at round {round}"
-        );
-        assert_eq!(
-            dump(&journal_eng, js),
-            dump(&snapshot_eng, ss),
-            "state diverged after round {round}"
-        );
     }
     assert!(
         violations > 0,
         "workload never violated — tripwire too loose"
     );
-
-    let jstats = journal_eng.session_stats(js);
+    let stats = checked.engine.session_stats(checked.session);
     assert_eq!(
-        jstats.net_snapshots, 0,
-        "journal strategy must never snapshot on value-only batches"
+        stats.net_snapshots, 0,
+        "value-only batches must never snapshot"
     );
-    assert_eq!(
-        jstats.net_clones, 0,
-        "journal strategy must never clone on value-only batches"
-    );
-    let sstats = snapshot_eng.session_stats(ss);
-    assert!(
-        sstats.net_snapshots > 0,
-        "snapshot strategy should have taken snapshots"
-    );
+    assert_eq!(stats.net_clones, 0, "value-only batches must never clone");
 
-    // Phase 2: journalable structural edits ride the journal too.
+    // Phase 2: structural edits ride the journal too.
     for round in 0..40 {
-        // Variable count only grows; both sides grow identically, so track
-        // via the journal engine's dump (cheaper: count AddVariable).
-        let bj = gen_batch(&mut rng_j, n_vars, n_constraints, true, false);
-        let bs = gen_batch(&mut rng_s, n_vars, n_constraints, true, false);
-        let rj = journal_eng.apply(js, bj);
-        let rs = snapshot_eng.apply(ss, bs);
-        assert_eq!(
-            render(&rj),
-            render(&rs),
-            "structural outcome diverged at round {round}"
-        );
-        assert_eq!(
-            dump(&journal_eng, js),
-            dump(&snapshot_eng, ss),
-            "structural state diverged after round {round}"
-        );
+        let batch = random_batch(&mut rng, n_vars, n_constraints, true, false);
+        checked.apply(batch, &format!("structural round {round}"));
     }
-    let jstats = journal_eng.session_stats(js);
+    let stats = checked.engine.session_stats(checked.session);
     assert_eq!(
-        jstats.net_snapshots, 0,
-        "journalable structural batches must not snapshot"
+        stats.net_snapshots, 0,
+        "structural batches must not snapshot"
     );
-    assert_eq!(
-        jstats.net_clones, 0,
-        "journalable structural batches must not clone"
-    );
+    assert_eq!(stats.net_clones, 0, "structural batches must not clone");
 
     // Phase 3: RemoveConstraint journals too (erasure pre-images plus a
     // re-wiring undo entry), so even removal batches stay on the
-    // O(touched) journal path — and the two engines still agree.
+    // O(touched) journal path.
     let mut removal_batches = 0usize;
     for round in 0..30 {
-        let bj = gen_batch(&mut rng_j, n_vars, n_constraints, true, true);
-        let bs = gen_batch(&mut rng_s, n_vars, n_constraints, true, true);
-        if bj
+        let batch = random_batch(&mut rng, n_vars, n_constraints, true, true);
+        if batch()
             .iter()
             .any(|c| matches!(c, Command::RemoveConstraint { .. }))
         {
             removal_batches += 1;
         }
-        let rj = journal_eng.apply(js, bj);
-        let rs = snapshot_eng.apply(ss, bs);
-        assert_eq!(
-            render(&rj),
-            render(&rs),
-            "removal outcome diverged at round {round}"
-        );
-        assert_eq!(
-            dump(&journal_eng, js),
-            dump(&snapshot_eng, ss),
-            "removal state diverged after round {round}"
-        );
+        checked.apply(batch, &format!("removal round {round}"));
     }
     assert!(removal_batches > 0, "workload never removed a constraint");
-    let jstats = journal_eng.session_stats(js);
-    assert_eq!(jstats.net_snapshots, 0, "still no snapshots under journal");
+    let stats = checked.engine.session_stats(checked.session);
+    assert_eq!(stats.net_snapshots, 0, "still no snapshots");
     assert_eq!(
-        jstats.net_clones, 0,
+        stats.net_clones, 0,
         "removal batches must journal, not clone-and-swap"
     );
 
-    journal_eng.shutdown();
-    snapshot_eng.shutdown();
+    checked.engine.shutdown();
 }
 
 #[test]
 fn journal_rollback_survives_panicking_commands() {
-    // A panic mid-batch unwinds through catch_unwind; the journal engine
-    // must abort the open cycle, replay the journal, and leave the session
-    // exactly as the snapshot engine does.
-    let journal_eng = engine(RollbackStrategy::Journal);
-    let snapshot_eng = engine(RollbackStrategy::Snapshot);
-    let js = journal_eng.create_session();
-    let ss = snapshot_eng.create_session();
-    build_chain(&journal_eng, js, 4);
-    build_chain(&snapshot_eng, ss, 4);
-
-    let panic_batch = |target: u32| {
+    // A panic mid-batch unwinds through catch_unwind; the engine must
+    // abort the open cycle, replay the journal, and leave the session
+    // exactly as a fresh engine that never saw the batch.
+    let mut checked = Checked::new(Box::new(|| chain_batch(4)));
+    let panic_batch = || {
         vec![
             Command::Set {
                 var: VarId::from_index(0),
                 value: Value::Int(7),
                 source: stem_engine::Source::User,
             },
-            // Invalid id: indexes far past the arena — the worker rejects
-            // or panics depending on path; both engines must agree.
+            // Invalid id: indexes far past the arena — the worker rejects or
+            // panics depending on path; the reference must agree.
             Command::Set {
-                var: VarId::from_index(target as usize),
+                var: VarId::from_index(9999),
                 value: Value::Int(1),
                 source: stem_engine::Source::User,
             },
         ]
     };
-    let rj = journal_eng.apply(js, panic_batch(9999));
-    let rs = snapshot_eng.apply(ss, panic_batch(9999));
-    assert_eq!(render(&rj), render(&rs));
-    assert_eq!(dump(&journal_eng, js), dump(&snapshot_eng, ss));
-
-    journal_eng.shutdown();
-    snapshot_eng.shutdown();
+    assert!(checked.apply(Box::new(panic_batch), "the panicking batch"));
+    checked.engine.shutdown();
 }

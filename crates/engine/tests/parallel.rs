@@ -185,18 +185,17 @@ fn session_replay_counters_reconcile_with_cache_hits() {
     // same committed replays and must therefore agree on exactly.
     let es = engine.stats();
     assert_eq!(es.plan_replays_parallel, stats.plan_replays_parallel);
-    assert_eq!(es.plan_replays_wavefront, stats.plan_replays_wavefront);
     assert_eq!(es.cones_executed, stats.cones_executed);
     assert_eq!(es.cones_stolen, stats.cones_stolen);
     assert_eq!(es.parallel_fallbacks, stats.parallel_fallbacks);
 }
 
 #[test]
-fn wavefront_counters_flow_through_engine_stats() {
+fn single_cone_fallbacks_flow_through_engine_stats() {
     // One giant single-cone cluster: 1 + 300 + 1 = 302 executing steps
-    // clears both the 256-step partition floor and the 128-step
-    // per-task pool floor, so the session replays it as a pooled
-    // wavefront (PR 7 could only fall back on this shape).
+    // clear the 256-step partition floor, but one connected cone has
+    // nothing to run side by side, so the plan gets no partition and
+    // every replay on the thread-enabled session falls back.
     let build = |threads: usize| {
         let mut cmds = Vec::new();
         let mut ix = 0;
@@ -216,18 +215,17 @@ fn wavefront_counters_flow_through_engine_stats() {
     }
     assert_eq!(dump(&par, sp), dump(&seq, ss));
     let stats = par.session_stats(sp);
-    assert!(stats.plan_replays_wavefront > 0, "giant cone must wave");
-    assert_eq!(stats.plan_replays_wavefront, stats.plan_replays_parallel);
-    assert_eq!(stats.cones_executed, stats.plan_replays_parallel);
-    assert_eq!(stats.parallel_fallbacks, 0);
+    assert_eq!(stats.parallel_fallbacks, 4, "one fallback per replay");
+    assert_eq!(stats.plan_replays_parallel, 0);
+    assert_eq!(stats.cones_executed, 0);
+    assert_eq!(stats.cones_stolen, 0);
     let es = par.stats();
-    assert_eq!(es.plan_replays_wavefront, stats.plan_replays_wavefront);
-    assert_eq!(es.cones_stolen, stats.cones_stolen);
-    // The sequential twin kept every parallel counter at zero.
+    assert_eq!(es.parallel_fallbacks, stats.parallel_fallbacks);
+    assert_eq!(es.plan_replays_parallel, 0);
+    // The sequential twin never wanted the pool: no fallbacks either.
     let stats_seq = seq.session_stats(ss);
+    assert_eq!(stats_seq.parallel_fallbacks, 0);
     assert_eq!(stats_seq.plan_replays_parallel, 0);
-    assert_eq!(stats_seq.plan_replays_wavefront, 0);
-    assert_eq!(stats_seq.cones_stolen, 0);
 }
 
 #[test]
