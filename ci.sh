@@ -51,6 +51,11 @@ cargo clippy --workspace --all-targets --offline -- -D warnings -W clippy::redun
 echo "==> cargo build --release"
 cargo build --workspace --release --offline
 
+echo "==> build the served-path benchmark (perfbench/, its own package)"
+# perfbench reads EngineStats fields by name: a renamed counter fails here
+# rather than in the benchmark pipeline.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo test"
 cargo test --workspace -q --offline
 

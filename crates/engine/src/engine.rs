@@ -12,7 +12,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use stem_core::{Network, ParStats, Stats};
+use stem_core::Network;
 use stem_persist::{
     decode_segment, GroupCommit, PersistCommand, PersistSpec, SessionState, Snapshot, Store,
     StoreOptions, SyncPolicy, WalRecord,
@@ -20,7 +20,7 @@ use stem_persist::{
 
 use crate::command::{BatchError, BatchOutcome, Command, ConstraintSpec, Output};
 use crate::persist::{self, Durability, DurabilityOptions, RecoveredSession, RecoveryPlan};
-use crate::stats::{Counters, EngineStats, SessionStats};
+use crate::stats::{Counters, EngineStats, NetworkCounters, SessionStats};
 
 /// Identifies one design session — an independent constraint network owned
 /// by exactly one worker. Ids are engine-unique and never reused.
@@ -1349,18 +1349,7 @@ impl Worker {
                     stats.n_constraints = sess.net.n_constraints() as u64;
                     stats.net_snapshots = sess.net.snapshots_taken();
                     stats.net_clones = sess.net.clones_taken();
-                    let net_stats = sess.net.stats();
-                    stats.plan_compiles = net_stats.plan_compiles;
-                    stats.plan_cache_hits = net_stats.plan_cache_hits;
-                    stats.plan_cache_invalidations = net_stats.plan_cache_invalidations;
-                    stats.domain_tightenings = net_stats.domain_tightenings;
-                    stats.subsumed_pruned = net_stats.subsumed_pruned;
-                    stats.wipeouts = net_stats.wipeouts;
-                    let par_stats = sess.net.par_stats();
-                    stats.plan_replays_parallel = par_stats.plan_replays_parallel;
-                    stats.cones_executed = par_stats.cones_executed;
-                    stats.cones_stolen = par_stats.cones_stolen;
-                    stats.parallel_fallbacks = par_stats.parallel_fallbacks;
+                    stats.mirror_network(&sess.net);
                     stats.quarantined = sess.quarantined;
                     let _ = reply.send(stats);
                 }
@@ -1505,8 +1494,8 @@ impl Worker {
                 None
             };
 
-        let before: Stats = sess.net.stats();
-        let before_par: ParStats = sess.net.par_stats();
+        let before = sess.net.stats();
+        let before_network = NetworkCounters::read(&sess.net);
         // Journaled transaction: the network records pre-images and
         // structural undo entries as the batch runs; failure replays them
         // in reverse. Cost is O(touched set) — no snapshot, no clone,
@@ -1522,9 +1511,7 @@ impl Worker {
                     Ok(logged) => {
                         sess.net.commit_journal();
                         note_logged(sess, logged);
-                        let delta =
-                            delta(before, before_par, sess.net.stats(), sess.net.par_stats());
-                        Ok((outputs, delta))
+                        Ok(outputs)
                     }
                     Err(err) => {
                         sess.net.rollback_journal();
@@ -1551,51 +1538,30 @@ impl Worker {
             }
         };
 
+        // The network's counters survive a rollback, so mirror their
+        // movement whatever the outcome; waves and assignments count
+        // committed work only.
+        counters.fold_network(&before_network, &sess.net);
         match result {
-            Ok((outputs, d)) => {
+            Ok(outputs) => {
+                let after = sess.net.stats();
+                let waves = after.cycles.saturating_sub(before.cycles);
+                let assignments = after.assignments.saturating_sub(before.assignments);
                 counters.batches_ok.fetch_add(1, Ordering::Relaxed);
-                counters.waves.fetch_add(d.waves, Ordering::Relaxed);
+                counters.waves.fetch_add(waves, Ordering::Relaxed);
                 counters
                     .assignments
-                    .fetch_add(d.assignments, Ordering::Relaxed);
-                counters
-                    .plan_compiles
-                    .fetch_add(d.plan_compiles, Ordering::Relaxed);
-                counters
-                    .plan_cache_hits
-                    .fetch_add(d.plan_cache_hits, Ordering::Relaxed);
-                counters
-                    .plan_cache_invalidations
-                    .fetch_add(d.plan_cache_invalidations, Ordering::Relaxed);
-                counters
-                    .plan_replays_parallel
-                    .fetch_add(d.plan_replays_parallel, Ordering::Relaxed);
-                counters
-                    .cones_executed
-                    .fetch_add(d.cones_executed, Ordering::Relaxed);
-                counters
-                    .cones_stolen
-                    .fetch_add(d.cones_stolen, Ordering::Relaxed);
-                counters
-                    .parallel_fallbacks
-                    .fetch_add(d.parallel_fallbacks, Ordering::Relaxed);
-                counters
-                    .domain_tightenings
-                    .fetch_add(d.domain_tightenings, Ordering::Relaxed);
-                counters
-                    .subsumed_pruned
-                    .fetch_add(d.subsumed_pruned, Ordering::Relaxed);
-                counters.wipeouts.fetch_add(d.wipeouts, Ordering::Relaxed);
+                    .fetch_add(assignments, Ordering::Relaxed);
                 sess.stats.batches_ok += 1;
-                sess.stats.waves += d.waves;
-                sess.stats.assignments += d.assignments;
+                sess.stats.waves += waves;
+                sess.stats.assignments += assignments;
                 if key != 0 {
                     sess.dedup = sess.dedup.max(key);
                 }
                 Ok(BatchOutcome {
                     outputs,
-                    waves: d.waves,
-                    assignments: d.assignments,
+                    waves,
+                    assignments,
                 })
             }
             Err(err) => {
@@ -1668,51 +1634,6 @@ fn note_logged(sess: &mut Session, logged: Option<(Vec<PersistCommand>, u64)>) {
         sess.stats.wal_appends += 1;
         sess.stats.wal_bytes += bytes;
         persist::absorb_committed(&mut sess.specs, &commands);
-    }
-}
-
-/// Network-stat movement attributable to one committed batch.
-struct BatchDelta {
-    waves: u64,
-    assignments: u64,
-    plan_compiles: u64,
-    plan_cache_hits: u64,
-    plan_cache_invalidations: u64,
-    plan_replays_parallel: u64,
-    cones_executed: u64,
-    cones_stolen: u64,
-    parallel_fallbacks: u64,
-    domain_tightenings: u64,
-    subsumed_pruned: u64,
-    wipeouts: u64,
-}
-
-fn delta(before: Stats, before_par: ParStats, after: Stats, after_par: ParStats) -> BatchDelta {
-    BatchDelta {
-        waves: after.cycles.saturating_sub(before.cycles),
-        assignments: after.assignments.saturating_sub(before.assignments),
-        plan_compiles: after.plan_compiles.saturating_sub(before.plan_compiles),
-        plan_cache_hits: after.plan_cache_hits.saturating_sub(before.plan_cache_hits),
-        plan_cache_invalidations: after
-            .plan_cache_invalidations
-            .saturating_sub(before.plan_cache_invalidations),
-        plan_replays_parallel: after_par
-            .plan_replays_parallel
-            .saturating_sub(before_par.plan_replays_parallel),
-        cones_executed: after_par
-            .cones_executed
-            .saturating_sub(before_par.cones_executed),
-        cones_stolen: after_par
-            .cones_stolen
-            .saturating_sub(before_par.cones_stolen),
-        parallel_fallbacks: after_par
-            .parallel_fallbacks
-            .saturating_sub(before_par.parallel_fallbacks),
-        domain_tightenings: after
-            .domain_tightenings
-            .saturating_sub(before.domain_tightenings),
-        subsumed_pruned: after.subsumed_pruned.saturating_sub(before.subsumed_pruned),
-        wipeouts: after.wipeouts.saturating_sub(before.wipeouts),
     }
 }
 

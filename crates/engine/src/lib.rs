@@ -42,7 +42,13 @@
 //!   ([`Engine::stats`] → [`EngineStats`]: batches, waves, assignments,
 //!   violations, rollbacks, queue-depth high-water mark, coarse latency
 //!   histogram) plus per-session counters ([`Engine::session_stats`] →
-//!   [`SessionStats`]).
+//!   [`SessionStats`]). Every counter is one row of a single table in
+//!   `stats.rs` giving its name, doc, merge rule and source — engine-owned,
+//!   committed work, mirrored from the network's `Stats`/`ParStats`
+//!   (counted for every batch, rolled back or not), or overlaid from the
+//!   store. The table generates the atomics, both structs,
+//!   [`EngineStats::absorb`] and the field visitor the wire codec walks;
+//!   adding a counter is one row plus its increment site.
 //!
 //! [`Violation`]: stem_core::Violation
 
@@ -56,4 +62,6 @@ mod stats;
 pub use command::{BatchError, BatchOutcome, Command, ConstraintSpec, KindFactory, Output, Source};
 pub use engine::{BatchTicket, Engine, EngineConfig, ReplayReport, SessionId};
 pub use persist::{Durability, DurabilityOptions};
-pub use stats::{EngineStats, SessionStats, LATENCY_BUCKET_BOUNDS_US, N_LATENCY_BUCKETS};
+pub use stats::{
+    EngineStats, SessionStats, StatField, LATENCY_BUCKET_BOUNDS_US, N_LATENCY_BUCKETS,
+};

@@ -17,9 +17,6 @@
 //! finds the whole record. What can never happen is a *partial* batch.
 
 use std::fs;
-use std::ops::Deref;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use stem_core::{Justification, Value, VarId};
 use stem_engine::{
@@ -27,40 +24,9 @@ use stem_engine::{
     Output, SessionId, Source,
 };
 use stem_persist::{failing_factory, ByteBudget};
+use stem_tempdir::TempDir;
 
 const SESSIONS: u64 = 2;
-
-/// A store directory unique to one call, removed when dropped. Tests in
-/// this binary run in parallel and several share a tag (every sweep
-/// measures its workload under "measure"), so the name carries a
-/// process-wide counter besides the pid: two live stores never share a
-/// directory, and hence never contend for its LOCK.
-struct TempDir(PathBuf);
-
-impl Deref for TempDir {
-    type Target = Path;
-
-    fn deref(&self) -> &Path {
-        &self.0
-    }
-}
-
-impl Drop for TempDir {
-    fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
-    }
-}
-
-fn temp_dir(tag: &str) -> TempDir {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    let d = std::env::temp_dir().join(format!(
-        "stem-crash-matrix-{tag}-{}-{n}",
-        std::process::id()
-    ));
-    let _ = fs::remove_dir_all(&d);
-    TempDir(d)
-}
 
 fn config() -> EngineConfig {
     EngineConfig {
@@ -268,7 +234,7 @@ fn drive(engine: &Engine, workload: Workload) -> DriveResult {
 /// and demand the recovered state equal a whole-batch prefix consistent
 /// with what was acknowledged.
 fn check_crash_point(tag: &str, budget_bytes: usize, make_workload: impl Fn() -> Workload) {
-    let dir = temp_dir(tag);
+    let dir = TempDir::new(tag);
     let budget = ByteBudget::new(budget_bytes as u64);
     let failing = DurabilityOptions {
         file_factory: Some(failing_factory(budget)),
@@ -343,7 +309,7 @@ fn check_crash_point(tag: &str, budget_bytes: usize, make_workload: impl Fn() ->
 
 /// Disk footprint of the full scripted workload, measured on real files.
 fn full_run_bytes(make_workload: impl Fn() -> Workload) -> usize {
-    let dir = temp_dir("measure");
+    let dir = TempDir::new("measure");
     let engine = Engine::open_with_config(&*dir, config(), opts()).unwrap();
     for _ in 0..SESSIONS {
         engine.create_session();

@@ -7,7 +7,9 @@ use std::thread;
 use std::time::Duration;
 
 use stem_core::prng::SplitMix64;
-use stem_core::{ConstraintId, ConstraintKind, Network, Value, VarId, Violation, ViolationKind};
+use stem_core::{
+    ConstraintId, ConstraintKind, Interval, Network, Value, VarId, Violation, ViolationKind,
+};
 use stem_engine::{
     BatchError, Command, ConstraintSpec, Engine, EngineConfig, Output, SessionId, Source,
 };
@@ -474,5 +476,81 @@ fn stats_and_reset_queue_hwm_starts_a_fresh_epoch() {
         first.queue_depth_hwm,
         second.queue_depth_hwm
     );
+    engine.shutdown();
+}
+
+fn interval(lo: i64, hi: i64) -> Value {
+    Value::Interval(Interval::new(lo, hi))
+}
+
+/// The engine-wide copies of the network's counters count rolled-back
+/// work too: after commits, a violation and a domain wipeout on two
+/// sessions, each equals the sum of the sessions' own readings.
+#[test]
+fn engine_network_counters_equal_the_sum_over_sessions() {
+    let engine = Engine::new(2);
+    let (s0, s1) = (engine.create_session(), engine.create_session());
+    setup_session(&engine, s0, 5);
+    engine.apply(s0, vec![set(0, 6)]).expect("commit");
+    // Overwrite denial on a propagated value: rolled back.
+    let err = engine.apply(s0, vec![set(1, 7)]).unwrap_err();
+    assert!(matches!(err, BatchError::Violation { .. }), "{err}");
+
+    // x + y = z over intervals, then a z that no x, y can reach.
+    engine
+        .apply(
+            s1,
+            vec![
+                add("x"),
+                add("y"),
+                add("z"),
+                Command::AddConstraint {
+                    spec: ConstraintSpec::DomAdd {
+                        views: [(1, 0), (1, 0), (1, 0)],
+                        out: None,
+                    },
+                    args: vec![var(0), var(1), var(2)],
+                },
+                Command::Set {
+                    var: var(0),
+                    value: interval(10, 20),
+                    source: Source::User,
+                },
+                Command::Set {
+                    var: var(1),
+                    value: interval(5, 25),
+                    source: Source::User,
+                },
+            ],
+        )
+        .expect("domain setup commits");
+    let err = engine
+        .apply(
+            s1,
+            vec![Command::Set {
+                var: var(2),
+                value: interval(0, 10),
+                source: Source::User,
+            }],
+        )
+        .unwrap_err();
+    assert!(matches!(err, BatchError::Violation { .. }), "{err}");
+
+    let total = engine.stats();
+    let (a, b) = (engine.session_stats(s0), engine.session_stats(s1));
+    assert_eq!(b.wipeouts, 1);
+    assert!(b.domain_tightenings > 0);
+    macro_rules! assert_summed {
+        ($($field:ident)*) => {
+            $(assert_eq!(total.$field, a.$field + b.$field, stringify!($field));)*
+        };
+    }
+    assert_summed!(
+        plan_compiles plan_cache_hits plan_cache_invalidations
+        plan_replays_parallel cones_executed cones_stolen parallel_fallbacks
+        domain_tightenings subsumed_pruned wipeouts
+    );
+    // Waves and assignments stay committed-only, like `BatchOutcome`.
+    assert_summed!(waves assignments);
     engine.shutdown();
 }

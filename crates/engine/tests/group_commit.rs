@@ -7,8 +7,6 @@
 //! append failure) and the amortisation (flushes ≤ appends, and fewer
 //! when sessions commit concurrently).
 
-use std::fs;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use stem_core::{Value, VarId};
@@ -17,12 +15,7 @@ use stem_engine::{
     Source,
 };
 use stem_persist::{failing_factory, ByteBudget};
-
-fn temp_dir(tag: &str) -> PathBuf {
-    let d = std::env::temp_dir().join(format!("stem-group-commit-{tag}-{}", std::process::id()));
-    let _ = fs::remove_dir_all(&d);
-    d
-}
+use stem_tempdir::TempDir;
 
 fn opts() -> DurabilityOptions {
     DurabilityOptions {
@@ -54,7 +47,7 @@ fn dump(engine: &Engine, s: SessionId) -> Vec<(String, Value, stem_core::Justifi
 
 #[test]
 fn concurrent_sessions_share_fsyncs_and_survive_reopen() {
-    let dir = temp_dir("concurrent");
+    let dir = TempDir::new("concurrent");
     let n_threads = 4usize;
     let batches_per = 25u64;
     let expected: Vec<_>;
@@ -104,12 +97,11 @@ fn concurrent_sessions_share_fsyncs_and_survive_reopen() {
     for (ix, want) in expected.iter().enumerate() {
         assert_eq!(&dump(&engine, SessionId(ix as u64)), want);
     }
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn failed_group_flush_rolls_the_batch_back() {
-    let dir = temp_dir("flushfail");
+    let dir = TempDir::new("flushfail");
     // Budget covers the store magic and the first batch; the second
     // batch's group flush hits the wall and must report Persist — with
     // the in-memory state rolled back, exactly like inline commit-sync.
@@ -140,12 +132,11 @@ fn failed_group_flush_rolls_the_batch_back() {
         Value::Int(1),
         "batch not rolled back"
     );
-    let _ = fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn group_commit_reports_its_label_and_mode() {
-    let dir = temp_dir("label");
+    let dir = TempDir::new("label");
     let engine = Engine::open_with_config(&dir, EngineConfig::default(), opts()).unwrap();
     assert_eq!(engine.durability(), Some(Durability::GroupCommit));
     // Off/interval engines never tick the group-sync counter.
@@ -154,5 +145,4 @@ fn group_commit_reports_its_label_and_mode() {
     let s = SessionId(0);
     let _ = plain.apply(s, vec![Command::DumpValues]);
     assert_eq!(plain.stats().wal_group_syncs, 0);
-    let _ = fs::remove_dir_all(&dir);
 }

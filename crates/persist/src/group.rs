@@ -149,16 +149,7 @@ mod tests {
     use crate::store::{StoreOptions, SyncPolicy};
     use std::sync::mpsc;
     use std::thread;
-
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "stem-group-{tag}-{}-{:?}",
-            std::process::id(),
-            thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use stem_tempdir::TempDir;
 
     fn open_deferred(dir: &std::path::Path) -> Store {
         let (store, _) = Store::open(
@@ -185,7 +176,7 @@ mod tests {
 
     #[test]
     fn concurrent_commits_share_fsyncs_and_all_persist() {
-        let dir = temp_dir("share");
+        let dir = TempDir::new("share");
         let gc = Arc::new(GroupCommit::new(Arc::new(Mutex::new(open_deferred(&dir)))));
         const THREADS: u64 = 8;
         const PER: u64 = 25;
@@ -225,12 +216,11 @@ mod tests {
         let (_store, recovered) = Store::open(&dir, StoreOptions::default()).unwrap();
         assert_eq!(recovered.tail.len() as u64, THREADS * PER);
         assert!(!recovered.truncated);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn single_committer_still_durable_per_append() {
-        let dir = temp_dir("single");
+        let dir = TempDir::new("single");
         let gc = GroupCommit::new(Arc::new(Mutex::new(open_deferred(&dir))));
         for s in 1..=5 {
             gc.append_durable(&rec(0, s)).unwrap();
@@ -240,6 +230,5 @@ mod tests {
         drop(gc);
         let (_store, recovered) = Store::open(&dir, StoreOptions::default()).unwrap();
         assert_eq!(recovered.tail.len(), 5);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

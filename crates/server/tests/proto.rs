@@ -8,6 +8,7 @@ use stem_core::codec::Reader;
 use stem_core::{ConstraintId, FinSet, Interval, Justification, Value, VarId, Violation};
 use stem_engine::{
     BatchError, BatchOutcome, Command, ConstraintSpec, EngineStats, Output, SessionStats, Source,
+    N_LATENCY_BUCKETS,
 };
 use stem_server::proto::{read_frame, write_frame, Reply, Request, MAX_FRAME_LEN};
 
@@ -390,4 +391,129 @@ fn custom_kinds_are_refused_at_encode_time() {
     };
     let mut buf = Vec::new();
     assert!(req.encode(&mut buf).is_err());
+}
+
+/// Engine stats whose scalar fields, in declaration order, hold `step`,
+/// `2 * step`, … and whose latency buckets continue the count. The literal
+/// names every field, so a new counter cannot skip the tests below.
+fn numbered_engine_stats(step: u64) -> EngineStats {
+    let mut n = 0;
+    let mut next = || {
+        n += step;
+        n
+    };
+    EngineStats {
+        batches: next(),
+        batches_ok: next(),
+        violations: next(),
+        rollbacks: next(),
+        panics: next(),
+        waves: next(),
+        assignments: next(),
+        sessions_created: next(),
+        sessions_quarantined: next(),
+        backpressure_rejections: next(),
+        queue_depth_hwm: next(),
+        plan_compiles: next(),
+        plan_cache_hits: next(),
+        plan_cache_invalidations: next(),
+        plan_replays_parallel: next(),
+        cones_executed: next(),
+        cones_stolen: next(),
+        parallel_fallbacks: next(),
+        recoveries: next(),
+        segments_ingested: next(),
+        records_replayed: next(),
+        dedup_skips: next(),
+        domain_tightenings: next(),
+        subsumed_pruned: next(),
+        wipeouts: next(),
+        wal_appends: next(),
+        wal_bytes: next(),
+        wal_group_syncs: next(),
+        snapshots_written: next(),
+        latency_buckets: std::array::from_fn(|_| next()),
+    }
+}
+
+/// Session stats numbered 1, 2, 3, … like [`numbered_engine_stats`],
+/// quarantined.
+fn numbered_session_stats() -> SessionStats {
+    let mut n = 0;
+    let mut next = || {
+        n += 1;
+        n
+    };
+    SessionStats {
+        batches: next(),
+        batches_ok: next(),
+        violations: next(),
+        panics: next(),
+        waves: next(),
+        assignments: next(),
+        n_variables: next(),
+        n_constraints: next(),
+        net_snapshots: next(),
+        net_clones: next(),
+        plan_compiles: next(),
+        plan_cache_hits: next(),
+        plan_cache_invalidations: next(),
+        plan_replays_parallel: next(),
+        cones_executed: next(),
+        cones_stolen: next(),
+        parallel_fallbacks: next(),
+        domain_tightenings: next(),
+        subsumed_pruned: next(),
+        wipeouts: next(),
+        wal_appends: next(),
+        wal_bytes: next(),
+        quarantined: true,
+    }
+}
+
+fn le_words(words: impl IntoIterator<Item = u64>) -> Vec<u8> {
+    words.into_iter().flat_map(u64::to_le_bytes).collect()
+}
+
+/// Pins the `Stats`/`SessionStats` reply layout: one tag byte, then every
+/// counter as a little-endian u64 in declaration order (engine latency
+/// buckets last; the session's quarantine flag as a final byte). Every
+/// field carries a distinct value, so two swapped fields change the bytes.
+#[test]
+fn stats_replies_have_a_pinned_field_order() {
+    let engine = numbered_engine_stats(1);
+    let mut buf = Vec::new();
+    Reply::Stats(engine).encode(&mut buf);
+    let mut expected = vec![4u8];
+    expected.extend(le_words(1..=29 + N_LATENCY_BUCKETS as u64));
+    assert_eq!(buf, expected);
+    match Reply::decode(&mut Reader::new(&buf)).unwrap() {
+        Reply::Stats(back) => assert_eq!(back, engine),
+        other => panic!("expected Stats, got {other:?}"),
+    }
+
+    let session = numbered_session_stats();
+    let mut buf = Vec::new();
+    Reply::SessionStats(session).encode(&mut buf);
+    let mut expected = vec![5u8];
+    expected.extend(le_words(1..=22));
+    expected.push(1);
+    assert_eq!(buf, expected);
+    match Reply::decode(&mut Reader::new(&buf)).unwrap() {
+        Reply::SessionStats(back) => assert_eq!(back, session),
+        other => panic!("expected SessionStats, got {other:?}"),
+    }
+}
+
+/// `EngineStats::absorb`, the cluster roll-up: every counter and latency
+/// bucket adds; the queue-depth high-water mark takes the max.
+#[test]
+fn absorb_sums_counters_and_maxes_the_queue_mark() {
+    let (small, large) = (numbered_engine_stats(1), numbered_engine_stats(100));
+    let mut expected = numbered_engine_stats(101);
+    expected.queue_depth_hwm = large.queue_depth_hwm;
+    for (mut rolled, other) in [(small, large), (large, small)] {
+        rolled.absorb(&other);
+        assert_eq!(rolled, expected);
+    }
 }
