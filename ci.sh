@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: formatting, lints, release build, full test suite.
+# Tier-1 CI gate: formatting, lints, rustdoc, release build, full test suite.
 # The workspace is hermetic — everything runs with --offline.
 #
 # Flags:
@@ -47,6 +47,11 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings, incl. redundant clones and unsafe without a SAFETY comment)"
 cargo clippy --workspace --all-targets --offline -- -D warnings -W clippy::redundant-clone \
   -W clippy::undocumented-unsafe-blocks
+
+echo "==> cargo doc (deny rustdoc warnings)"
+# Broken intra-doc links fail here, including cross-crate links to types
+# that moved between crates.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "==> cargo build --release"
 cargo build --workspace --release --offline

@@ -125,7 +125,7 @@ pub trait ConstraintKind: fmt::Debug {
 
     /// A thread-safe kernel equivalent to `infer` on a change of `changed`,
     /// *if one exists* — the opt-in contract behind parallel plan replay
-    /// ([`crate::par`]). Returning `Some(kernel)` promises that running the
+    /// (the `par` module). Returning `Some(kernel)` promises that running the
     /// kernel against a raw value view produces exactly the
     /// `propagate_set` calls `infer` would make (same targets, same order,
     /// same values, same dependency records). Kinds closing over

@@ -53,7 +53,9 @@
 //! network compilation ([`compile_functional`] +
 //! [`Network::run_compiled`]). [`Network::snapshot`] /
 //! [`Network::restore_snapshot`] checkpoint whole value states for search
-//! procedures such as joint module selection.
+//! procedures such as joint module selection. [`ConstraintSpec`] and
+//! [`Source`] are the one command vocabulary (with its byte encoding) that
+//! the engine, its write-ahead log and the wire protocol all share.
 
 #![warn(missing_docs)]
 mod agenda;
@@ -69,6 +71,7 @@ mod network;
 mod par;
 mod plan;
 pub mod prng;
+mod spec;
 mod value;
 mod variable;
 mod violation;
@@ -85,6 +88,7 @@ pub use justification::{DependencyRecord, Justification};
 pub use network::{Network, SetStatus, Stats, ValueSnapshot, ViolationHandler};
 pub use par::{ParKernel, ParStats, PureOp};
 pub use plan::{PlanParDetail, PlanStatus};
+pub use spec::{ConstraintSpec, Source};
 pub use value::{Span, TypeTag, Value};
 pub use variable::{Overwrite, PlainKind, PropertyKind, RecalcFn, VariableKind};
 pub use violation::{Violation, ViolationKind};

@@ -576,7 +576,7 @@ impl Network {
     ///
     /// Journalable: with a journal open, the erasure cascade records value
     /// pre-images as usual and the unwiring records a
-    /// [`JournalEntry::ConstraintRemoved`] undo entry, so a rollback
+    /// `JournalEntry::ConstraintRemoved` undo entry, so a rollback
     /// re-wires the constraint in its exact pre-removal position — still
     /// O(touched set).
     ///
@@ -902,7 +902,7 @@ impl Network {
         self.par_stats = ParStats::default();
     }
 
-    /// Accumulated parallel-replay counters ([`crate::par`]). Always
+    /// Accumulated parallel-replay counters (the `par` module). Always
     /// zero while [`Network::parallel_threads`] is 1.
     pub fn par_stats(&self) -> ParStats {
         self.par_stats
@@ -1175,7 +1175,7 @@ impl Network {
     /// network, unlike [`Network::snapshot`]/[`Network::restore_snapshot`].
     ///
     /// Constraint removals are journalable too
-    /// ([`JournalEntry::ConstraintRemoved`]). The remaining non-journalable
+    /// (`JournalEntry::ConstraintRemoved`). The remaining non-journalable
     /// edits ([`Network::detach_arg`], [`Network::attach_arg`]) panic while
     /// a journal is open; callers needing them must fall back to a clone or
     /// snapshot transaction.
@@ -1653,7 +1653,7 @@ impl Network {
 
     /// Sets the replay thread budget. `1` (the default) keeps every
     /// replay sequential; above 1, plan compilation additionally
-    /// partitions each plan into independent cones ([`crate::par`]) and
+    /// partitions each plan into independent cones (the `par` module) and
     /// replay executes them on a shared worker pool when profitable.
     /// Values are clamped to at least 1. Changing the budget drops all
     /// cached plans so partitions are (re)built consistently.

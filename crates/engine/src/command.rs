@@ -2,182 +2,41 @@
 //! and errors coming back.
 //!
 //! Everything here is `Send`: commands cross the thread boundary into the
-//! worker that owns the session's [`Network`]. Constraint behaviour is
-//! described by a [`ConstraintSpec`] (a `Send` description) and only
+//! worker that owns the session's [`Network`](stem_core::Network).
+//! Constraint behaviour is described by `stem-core`'s [`ConstraintSpec`]
+//! (or, for kinds outside that closed set, a [`KindFactory`]) and only
 //! materialised into an `Rc<dyn ConstraintKind>` inside the owning worker,
 //! because networks — and the kinds they share — are deliberately
 //! single-threaded.
+//!
+//! [`Command::to_persist`] and `From<PersistCommand>` are the only
+//! conversions to and from [`PersistCommand`], the replayable subset the
+//! write-ahead log and the wire carry.
 
 use std::fmt;
 use std::rc::Rc;
 
-use stem_core::kinds::{
-    AllDiff, DomAdd, DomLe, DomReifLe, DomainConstraint, Equality, Functional, FunctionalOp,
-    PredOp, Predicate,
+use stem_core::{
+    ConstraintId, ConstraintKind, ConstraintSpec, Justification, Source, Value, VarId, Violation,
 };
-use stem_core::{ConstraintId, ConstraintKind, Justification, Value, VarId, View, Violation};
+use stem_persist::PersistCommand;
 
-/// Factory producing a constraint kind inside the worker thread that owns
+/// Factory producing a constraint kind outside the built-in
+/// [`ConstraintSpec`] vocabulary, run inside the worker thread that owns
 /// the target network. The closure must be `Send`; the kind it builds need
 /// not be.
-pub type KindFactory = Box<dyn Fn() -> Rc<dyn ConstraintKind> + Send>;
+pub struct KindFactory(pub(crate) Box<dyn Fn() -> Rc<dyn ConstraintKind> + Send>);
 
-/// A `Send` description of a constraint to install, materialised
-/// worker-side. The closed variants cover the built-in kinds; arbitrary
-/// kinds travel as a [`KindFactory`].
-pub enum ConstraintSpec {
-    /// All arguments equal ([`Equality`]).
-    Equality,
-    /// Last argument = sum of the others ([`Functional`] `Sum`).
-    Sum,
-    /// Last argument = max of the others.
-    Max,
-    /// Last argument = min of the others.
-    Min,
-    /// Last argument = product of the others.
-    Product,
-    /// Last argument = `gain * first + offset`.
-    Scale {
-        /// Multiplier.
-        gain: f64,
-        /// Addend.
-        offset: f64,
-    },
-    /// Check-only predicate: every argument ≤ the bound.
-    LeConst(Value),
-    /// Check-only predicate: every argument ≥ the bound.
-    GeConst(Value),
-    /// Check-only predicate: every argument = the constant.
-    EqConst(Value),
-    /// Check-only predicate: `args[0] ≤ args[1]`.
-    Le,
-    /// Check-only predicate: `args[0] < args[1]`.
-    Lt,
-    /// Bounds-consistent domain relation `v0(x) + v1(y) = v2(z)` over
-    /// affine views `(a, b) ↦ a·x + b` ([`DomAdd`]); `out == None`
-    /// propagates all three ways, `Some(i)` only narrows argument `i`.
-    DomAdd {
-        /// Per-argument affine views `(a, b)`; `a == 0` is sanitised to 1.
-        views: [(i64, i64); 3],
-        /// Directional output argument, when restricted.
-        out: Option<u8>,
-    },
-    /// Bounds-consistent domain relation `v0(x) ≤ v1(y) + c` ([`DomLe`]).
-    DomLe {
-        /// The offset `c`.
-        c: i64,
-        /// Per-argument affine views `(a, b)`; `a == 0` is sanitised to 1.
-        views: [(i64, i64); 2],
-        /// Directional output argument, when restricted.
-        out: Option<u8>,
-    },
-    /// All arguments pairwise distinct ([`AllDiff`], bounds reasoning).
-    DomAllDiff,
-    /// Reified inequality `args[0] ⇔ (v0(args[1]) ≤ v1(args[2]) + c)`
-    /// ([`DomReifLe`]).
-    DomReifLe {
-        /// The offset `c`.
-        c: i64,
-        /// Affine views over `args[1]`/`args[2]`.
-        views: [(i64, i64); 2],
-    },
-    /// Any other kind, built worker-side by the factory.
-    Custom(KindFactory),
-}
-
-/// Converts wire-level view pairs into [`View`]s, sanitising the (never
-/// legitimately produced, but representable in corrupt or hostile bytes)
-/// zero coefficient to the identity scale instead of panicking worker-side.
-fn views<const N: usize>(pairs: &[(i64, i64); N]) -> [View; N] {
-    pairs.map(|(a, b)| View::new(if a == 0 { 1 } else { a }, b))
-}
-
-impl ConstraintSpec {
-    /// Materialises the kind. Runs in the worker that owns the session.
-    pub(crate) fn build(&self) -> Rc<dyn ConstraintKind> {
-        match self {
-            ConstraintSpec::Equality => Rc::new(Equality::new()),
-            ConstraintSpec::Sum => Rc::new(Functional::new(FunctionalOp::Sum)),
-            ConstraintSpec::Max => Rc::new(Functional::new(FunctionalOp::Max)),
-            ConstraintSpec::Min => Rc::new(Functional::new(FunctionalOp::Min)),
-            ConstraintSpec::Product => Rc::new(Functional::new(FunctionalOp::Product)),
-            ConstraintSpec::Scale { gain, offset } => {
-                Rc::new(Functional::new(FunctionalOp::Scale {
-                    gain: *gain,
-                    offset: *offset,
-                }))
-            }
-            ConstraintSpec::LeConst(v) => Rc::new(Predicate::new(PredOp::LeConst(v.clone()))),
-            ConstraintSpec::GeConst(v) => Rc::new(Predicate::new(PredOp::GeConst(v.clone()))),
-            ConstraintSpec::EqConst(v) => Rc::new(Predicate::new(PredOp::EqConst(v.clone()))),
-            ConstraintSpec::Le => Rc::new(Predicate::new(PredOp::Le)),
-            ConstraintSpec::Lt => Rc::new(Predicate::new(PredOp::Lt)),
-            ConstraintSpec::DomAdd { views: v, out } => Rc::new(DomainConstraint::new(match out {
-                Some(o) => DomAdd::with_views(views(v), usize::from(*o)),
-                None => DomAdd::all_views(views(v)),
-            })),
-            ConstraintSpec::DomLe { c, views: v, out } => Rc::new(DomainConstraint::new(
-                DomLe::with_views(*c, views(v), out.map(usize::from)),
-            )),
-            ConstraintSpec::DomAllDiff => Rc::new(DomainConstraint::new(AllDiff::new())),
-            ConstraintSpec::DomReifLe { c, views: v } => {
-                Rc::new(DomainConstraint::new(DomReifLe::with_views(*c, views(v))))
-            }
-            ConstraintSpec::Custom(f) => f(),
-        }
+impl KindFactory {
+    /// Wraps a kind-building closure.
+    pub fn new(build: impl Fn() -> Rc<dyn ConstraintKind> + Send + 'static) -> Self {
+        KindFactory(Box::new(build))
     }
 }
 
-impl fmt::Debug for ConstraintSpec {
+impl fmt::Debug for KindFactory {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConstraintSpec::Equality => write!(f, "Equality"),
-            ConstraintSpec::Sum => write!(f, "Sum"),
-            ConstraintSpec::Max => write!(f, "Max"),
-            ConstraintSpec::Min => write!(f, "Min"),
-            ConstraintSpec::Product => write!(f, "Product"),
-            ConstraintSpec::Scale { gain, offset } => write!(f, "Scale({gain}, {offset})"),
-            ConstraintSpec::LeConst(v) => write!(f, "LeConst({v})"),
-            ConstraintSpec::GeConst(v) => write!(f, "GeConst({v})"),
-            ConstraintSpec::EqConst(v) => write!(f, "EqConst({v})"),
-            ConstraintSpec::Le => write!(f, "Le"),
-            ConstraintSpec::Lt => write!(f, "Lt"),
-            ConstraintSpec::DomAdd { views, out } => write!(f, "DomAdd({views:?}, {out:?})"),
-            ConstraintSpec::DomLe { c, views, out } => {
-                write!(f, "DomLe({c}, {views:?}, {out:?})")
-            }
-            ConstraintSpec::DomAllDiff => write!(f, "DomAllDiff"),
-            ConstraintSpec::DomReifLe { c, views } => write!(f, "DomReifLe({c}, {views:?})"),
-            ConstraintSpec::Custom(_) => write!(f, "Custom(..)"),
-        }
-    }
-}
-
-/// External provenance of a batched assignment — the subset of
-/// [`Justification`] clients may claim. `Propagated`/`Tentative` records
-/// are reserved to the propagation engine itself (a forged record would
-/// corrupt dependency analysis), so they are unrepresentable here.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Source {
-    /// A direct designer edit (`#USER`).
-    #[default]
-    User,
-    /// A tool/application computation (`#APPLICATION`).
-    Application,
-    /// Consistency-maintenance refresh (`#UPDATE`).
-    Update,
-    /// A class-definition default.
-    DefaultValue,
-}
-
-impl From<Source> for Justification {
-    fn from(s: Source) -> Justification {
-        match s {
-            Source::User => Justification::User,
-            Source::Application => Justification::Application,
-            Source::Update => Justification::Update,
-            Source::DefaultValue => Justification::DefaultValue,
-        }
+        write!(f, "KindFactory(..)")
     }
 }
 
@@ -230,6 +89,16 @@ pub enum Command {
         /// Its argument variables.
         args: Vec<VarId>,
     },
+    /// Installs a constraint of a kind outside the built-in vocabulary,
+    /// built worker-side by `kind`; replies [`Output::Constraint`]. The
+    /// factory is process-local code with no byte image, so durable
+    /// engines refuse it and it cannot be sent over the wire.
+    AddCustomConstraint {
+        /// Builds the kind inside the owning worker.
+        kind: KindFactory,
+        /// Its argument variables.
+        args: Vec<VarId>,
+    },
     /// Removes a constraint, erasing values it justified; replies
     /// [`Output::Unit`].
     RemoveConstraint {
@@ -273,6 +142,73 @@ impl Command {
             Command::Get { .. } | Command::Probe { .. } | Command::DumpValues | Command::CheckAll
         )
     }
+
+    /// The command's log image. `None` for read-only commands (replaying
+    /// them would be a no-op) and for [`Command::AddCustomConstraint`],
+    /// whose factory has no byte representation.
+    pub fn to_persist(&self) -> Option<PersistCommand> {
+        Some(match self {
+            Command::AddVariable { name } => PersistCommand::AddVariable { name: name.clone() },
+            Command::Set { var, value, source } => PersistCommand::Set {
+                var: *var,
+                value: value.clone(),
+                source: *source,
+            },
+            Command::Unset { var } => PersistCommand::Unset { var: *var },
+            Command::AddConstraint { spec, args } => PersistCommand::AddConstraint {
+                spec: spec.clone(),
+                args: args.clone(),
+            },
+            Command::RemoveConstraint { constraint } => PersistCommand::RemoveConstraint {
+                constraint: *constraint,
+            },
+            Command::EnableConstraint {
+                constraint,
+                enabled,
+            } => PersistCommand::EnableConstraint {
+                constraint: *constraint,
+                enabled: *enabled,
+            },
+            Command::SetKindEnabled { kind_name, enabled } => PersistCommand::SetKindEnabled {
+                kind_name: kind_name.clone(),
+                enabled: *enabled,
+            },
+            Command::SetValueChangeLimit { limit } => {
+                PersistCommand::SetValueChangeLimit { limit: *limit }
+            }
+            Command::AddCustomConstraint { .. }
+            | Command::Get { .. }
+            | Command::Probe { .. }
+            | Command::DumpValues
+            | Command::CheckAll => return None,
+        })
+    }
+}
+
+/// Replays a logged (or wire-decoded) command.
+impl From<PersistCommand> for Command {
+    fn from(cmd: PersistCommand) -> Command {
+        match cmd {
+            PersistCommand::AddVariable { name } => Command::AddVariable { name },
+            PersistCommand::Set { var, value, source } => Command::Set { var, value, source },
+            PersistCommand::Unset { var } => Command::Unset { var },
+            PersistCommand::AddConstraint { spec, args } => Command::AddConstraint { spec, args },
+            PersistCommand::RemoveConstraint { constraint } => {
+                Command::RemoveConstraint { constraint }
+            }
+            PersistCommand::EnableConstraint {
+                constraint,
+                enabled,
+            } => Command::EnableConstraint {
+                constraint,
+                enabled,
+            },
+            PersistCommand::SetKindEnabled { kind_name, enabled } => {
+                Command::SetKindEnabled { kind_name, enabled }
+            }
+            PersistCommand::SetValueChangeLimit { limit } => Command::SetValueChangeLimit { limit },
+        }
+    }
 }
 
 /// Per-command reply inside a successful [`BatchOutcome`].
@@ -282,7 +218,8 @@ pub enum Output {
     Unit,
     /// Id of a variable created by [`Command::AddVariable`].
     Var(VarId),
-    /// Id of a constraint created by [`Command::AddConstraint`].
+    /// Id of a constraint created by [`Command::AddConstraint`] or
+    /// [`Command::AddCustomConstraint`].
     Constraint(ConstraintId),
     /// Value read by [`Command::Get`].
     Value(Value),
@@ -332,7 +269,9 @@ pub enum BatchError {
     /// A command panicked; the batch rolled back and the session is now
     /// quarantined ([`crate::Engine::lift_quarantine`] re-admits it).
     Panicked {
-        /// Index of the panicking command.
+        /// Index of the panicking command. On a thread-enabled network a
+        /// run of consecutive `Set`s applies as one group, and a panic
+        /// inside it reports the run's first index.
         index: usize,
         /// Panic payload rendered to text.
         message: String,

@@ -12,13 +12,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use stem_core::Network;
+use stem_core::{ConstraintSpec, Network};
 use stem_persist::{
-    decode_segment, GroupCommit, PersistCommand, PersistSpec, SessionState, Snapshot, Store,
-    StoreOptions, SyncPolicy, WalRecord,
+    decode_segment, GroupCommit, PersistCommand, SessionState, Snapshot, Store, StoreOptions,
+    SyncPolicy, WalRecord,
 };
 
-use crate::command::{BatchError, BatchOutcome, Command, ConstraintSpec, Output};
+use crate::command::{BatchError, BatchOutcome, Command, Output};
 use crate::persist::{self, Durability, DurabilityOptions, RecoveredSession, RecoveryPlan};
 use crate::stats::{Counters, EngineStats, NetworkCounters, SessionStats};
 
@@ -1149,7 +1149,7 @@ struct Session {
     /// Spec shadow of the constraint arena: `specs[i]` is slot `i`'s
     /// replayable description, `None` for tombstones. Maintained only on
     /// durable engines (empty otherwise).
-    specs: Vec<Option<PersistSpec>>,
+    specs: Vec<Option<ConstraintSpec>>,
 }
 
 struct Worker {
@@ -1197,18 +1197,10 @@ impl Worker {
         net.set_parallel_threads(self.propagation_threads);
         let mut applied = 0u64;
         for batch in &rs.tail {
-            let commands: Vec<Command> = batch
-                .iter()
-                .cloned()
-                .map(persist::command_from_persist)
-                .collect();
             // Committed batches replay cleanly against the state they
             // committed on; a failure means corruption the checksums
             // could not see — keep the prefix that did replay.
-            if validate(&net, &commands, false).is_err() {
-                break;
-            }
-            if apply_all(&mut net, commands).is_err() {
+            if !replay_batch(&mut net, batch.clone()) {
                 break;
             }
             persist::absorb_committed(&mut specs, batch);
@@ -1283,13 +1275,7 @@ impl Worker {
                         }
                         continue;
                     }
-                    let cmds: Vec<Command> = commands
-                        .into_iter()
-                        .map(persist::command_from_persist)
-                        .collect();
-                    let ok = validate(&sess.net, &cmds, false).is_ok()
-                        && apply_all(&mut sess.net, cmds).is_ok();
-                    if ok {
+                    if replay_batch(&mut sess.net, commands) {
                         sess.seq = seq;
                         sess.dedup = sess.dedup.max(key);
                         sess.stats.batches += 1;
@@ -1481,15 +1467,12 @@ impl Worker {
         }
         validate(&sess.net, &commands, logging)?;
 
-        // The loggable mirror is built before `apply_all` consumes the
-        // commands; read-only batches log nothing. Validation already
-        // rejected unpersistable (custom-kind) commands.
+        // The log image is built before `apply_all` consumes the
+        // commands; read-only batches log nothing, and validation already
+        // rejected the custom kinds `to_persist` cannot image.
         let to_log: Option<Vec<PersistCommand>> =
             if logging && commands.iter().any(Command::is_mutating) {
-                Some(
-                    persist::commands_to_persist(&commands)
-                        .expect("validated: no custom kinds on a durable engine"),
-                )
+                Some(commands.iter().filter_map(Command::to_persist).collect())
             } else {
                 None
             };
@@ -1502,7 +1485,8 @@ impl Worker {
         // regardless of network size.
         sess.net.begin_journal();
         let net = &mut sess.net;
-        let result = match catch_unwind(AssertUnwindSafe(|| apply_all(net, commands))) {
+        let mut at = 0;
+        let result = match catch_unwind(AssertUnwindSafe(|| apply_all(net, commands, &mut at))) {
             Ok(Ok(outputs)) => {
                 // Log before acknowledging: the journal stays open so a
                 // failed append rolls the whole batch back and the
@@ -1532,7 +1516,7 @@ impl Worker {
                 sess.net.abort_cycle();
                 sess.net.rollback_journal();
                 Err(BatchError::Panicked {
-                    index: usize::MAX,
+                    index: at,
                     message: panic_message(payload),
                 })
             }
@@ -1648,10 +1632,12 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 }
 
 /// Pre-flight validation: every referenced id must exist, counting ids the
-/// batch itself will allocate before the referencing command runs. Runs
-/// before any command executes, so an invalid batch is a no-op. With
-/// `durable`, commands that cannot be persisted (custom constraint kinds)
-/// are rejected too — everything that reaches the log must replay.
+/// batch itself will allocate before the referencing command runs, and
+/// every constraint spec must fit its argument list
+/// ([`ConstraintSpec::check_args`]). Runs before any command executes, so
+/// an invalid batch is a no-op. With `durable`, commands that cannot be
+/// persisted (custom constraint kinds) are rejected too — everything that
+/// reaches the log must replay.
 fn validate(net: &Network, commands: &[Command], durable: bool) -> Result<(), BatchError> {
     let mut n_vars = net.n_variables();
     let mut n_cons = net.n_constraint_slots();
@@ -1667,8 +1653,11 @@ fn validate(net: &Network, commands: &[Command], durable: bool) -> Result<(), Ba
                     return Err(invalid(ix, format!("unknown variable {var}")));
                 }
             }
-            Command::AddConstraint { spec, args } => {
-                if durable && matches!(spec, ConstraintSpec::Custom(_)) {
+            Command::AddConstraint { args, .. } | Command::AddCustomConstraint { args, .. } => {
+                if let Command::AddConstraint { spec, .. } = cmd {
+                    spec.check_args(args.len())
+                        .map_err(|reason| invalid(ix, reason))?;
+                } else if durable {
                     return Err(invalid(
                         ix,
                         "custom constraint kinds cannot be persisted on a durable engine".into(),
@@ -1698,6 +1687,14 @@ fn validate(net: &Network, commands: &[Command], durable: bool) -> Result<(), Ba
     Ok(())
 }
 
+/// Re-applies one logged batch (crash recovery, replica replay) through
+/// the same validation and application as a live batch, without logging
+/// it again. `false` if it no longer applies.
+fn replay_batch(net: &mut Network, batch: Vec<PersistCommand>) -> bool {
+    let commands: Vec<Command> = batch.into_iter().map(Command::from).collect();
+    validate(net, &commands, false).is_ok() && apply_all(net, commands, &mut 0).is_ok()
+}
+
 type CommandFailure = (usize, stem_core::Violation);
 
 /// Applies a batch in order, consuming the commands: payloads (`Value`s,
@@ -1710,12 +1707,20 @@ type CommandFailure = (usize, stem_core::Violation);
 /// is semantically inert — `set_all` applies its assignments in order
 /// and reports the in-group index of a violation, which maps straight
 /// back to the failing command's batch index.
-fn apply_all(net: &mut Network, commands: Vec<Command>) -> Result<Vec<Output>, CommandFailure> {
+///
+/// `at` tracks the index of the command being applied (a grouped run's
+/// first index), so a caller catching a panic can report where it struck.
+fn apply_all(
+    net: &mut Network,
+    commands: Vec<Command>,
+    at: &mut usize,
+) -> Result<Vec<Output>, CommandFailure> {
     use stem_core::Justification;
     let mut outputs = Vec::with_capacity(commands.len());
     let group_sets = net.parallel_threads() > 1;
     let mut iter = commands.into_iter().enumerate().peekable();
     while let Some((ix, cmd)) = iter.next() {
+        *at = ix;
         if group_sets {
             if let Command::Set { var, value, source } = cmd {
                 let mut sets = vec![(var, value, Justification::from(source))];
@@ -1754,6 +1759,9 @@ fn apply_one(net: &mut Network, cmd: Command) -> Result<Output, stem_core::Viola
         Command::Get { var } => Output::Value(net.value(var).clone()),
         Command::AddConstraint { spec, args } => {
             Output::Constraint(net.add_constraint_rc(spec.build(), args)?)
+        }
+        Command::AddCustomConstraint { kind, args } => {
+            Output::Constraint(net.add_constraint_rc((kind.0)(), args)?)
         }
         Command::RemoveConstraint { constraint } => {
             net.remove_constraint(constraint);

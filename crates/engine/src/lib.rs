@@ -14,6 +14,9 @@
 //!   parallel. Networks are `!Send` by design (`Rc`-shared kinds) and never
 //!   leave their worker — commands cross threads as `Send` descriptions
 //!   ([`Command`], [`ConstraintSpec`]) and are materialised worker-side.
+//!   [`ConstraintSpec`] and [`Source`] are `stem-core`'s, re-exported: the
+//!   log and the wire carry the same values. Kinds outside that closed set
+//!   ride as [`Command::AddCustomConstraint`], which cannot be logged.
 //! - **Transactional batches.** A batch of [`Command`]s applies atomically:
 //!   all commands commit, or — on a constraint [`Violation`], an invalid
 //!   command, a step-budget overrun or a panic — the session is restored
@@ -37,7 +40,8 @@
 //!   checkpoints bound replay time and compact the log, and reopening the
 //!   directory rebuilds every session exactly as of its last acknowledged
 //!   commit ([`Durability`] picks the fsync regime; [`DurabilityOptions`]
-//!   the segment/checkpoint thresholds).
+//!   the segment/checkpoint thresholds). [`Command::to_persist`] is the
+//!   logged image, `stem-persist`'s replayable `PersistCommand`.
 //! - **Observability.** Engine-wide lock-free counters
 //!   ([`Engine::stats`] → [`EngineStats`]: batches, waves, assignments,
 //!   violations, rollbacks, queue-depth high-water mark, coarse latency
@@ -59,9 +63,10 @@ mod engine;
 mod persist;
 mod stats;
 
-pub use command::{BatchError, BatchOutcome, Command, ConstraintSpec, KindFactory, Output, Source};
+pub use command::{BatchError, BatchOutcome, Command, KindFactory, Output};
 pub use engine::{BatchTicket, Engine, EngineConfig, ReplayReport, SessionId};
 pub use persist::{Durability, DurabilityOptions};
 pub use stats::{
     EngineStats, SessionStats, StatField, LATENCY_BUCKET_BOUNDS_US, N_LATENCY_BUCKETS,
 };
+pub use stem_core::{ConstraintSpec, Source};

@@ -11,7 +11,8 @@ use stem_core::{
     ConstraintId, ConstraintKind, Interval, Network, Value, VarId, Violation, ViolationKind,
 };
 use stem_engine::{
-    BatchError, Command, ConstraintSpec, Engine, EngineConfig, Output, SessionId, Source,
+    BatchError, Command, ConstraintSpec, Engine, EngineConfig, KindFactory, Output, SessionId,
+    Source,
 };
 
 fn var(ix: usize) -> VarId {
@@ -149,6 +150,52 @@ fn invalid_command_rejects_batch_upfront() {
     assert!(matches!(err, BatchError::InvalidCommand { index: 0, .. }));
 }
 
+/// Domain specs whose arity or directional output does not fit their
+/// argument list are refused before anything runs: an `InvalidCommand` at
+/// the spec's index, never a kind that panics the worker and quarantines
+/// the session.
+#[test]
+fn malformed_domain_specs_are_invalid_commands() {
+    let engine = Engine::new(1);
+    let s = engine.create_session();
+    engine.apply(s, vec![add("x"), add("y"), add("z")]).unwrap();
+    let dom_add = |out| ConstraintSpec::DomAdd {
+        views: [(1, 0); 3],
+        out,
+    };
+    let dom_le = |out| ConstraintSpec::DomLe {
+        c: 0,
+        views: [(1, 0); 2],
+        out,
+    };
+    let reif_le = ConstraintSpec::DomReifLe {
+        c: 0,
+        views: [(1, 0); 2],
+    };
+    // (spec, argument count): an output past the arity, or too few args.
+    let cases = [
+        (dom_add(Some(7)), 3),
+        (dom_add(None), 2),
+        (dom_le(None), 1),
+        (dom_le(Some(2)), 2),
+        (reif_le, 2),
+    ];
+    for (round, (spec, n_args)) in cases.into_iter().enumerate() {
+        let args = (0..n_args).map(var).collect();
+        let batch = vec![set(0, 1), Command::AddConstraint { spec, args }, set(1, 2)];
+        match engine.apply(s, batch) {
+            Err(BatchError::InvalidCommand { index: 1, .. }) => {}
+            other => panic!("case {round}: expected InvalidCommand at 1, got {other:?}"),
+        }
+        assert!(!engine.session_stats(s).quarantined, "case {round}");
+        engine
+            .apply(s, vec![set(0, 10 + round as i64)])
+            .unwrap_or_else(|e| panic!("case {round}: next write refused: {e}"));
+    }
+    assert_eq!(engine.stats().panics, 0);
+    assert_eq!(engine.session_stats(s).n_constraints, 0);
+}
+
 /// Panics on inference from a real value change, but stays quiet during
 /// the re-initialisation pass that installs it (which dispatches every
 /// argument while its value is still `Nil`).
@@ -189,8 +236,8 @@ fn panicking_batch_rolls_back_and_quarantines() {
             vec![
                 add("x"),
                 add("y"),
-                Command::AddConstraint {
-                    spec: ConstraintSpec::Custom(Box::new(|| Rc::new(PanicOnInfer))),
+                Command::AddCustomConstraint {
+                    kind: KindFactory::new(|| Rc::new(PanicOnInfer)),
                     args: vec![var(0), var(1)],
                 },
             ],
@@ -199,9 +246,15 @@ fn panicking_batch_rolls_back_and_quarantines() {
     let before = dump(&engine, s);
 
     // Value-only batch -> the panic unwinds out of an active cycle and the
-    // worker must recover the poisoned network, not just the values.
-    let err = engine.apply(s, vec![set(0, 1)]).unwrap_err();
-    assert!(matches!(err, BatchError::Panicked { .. }));
+    // worker must recover the poisoned network, not just the values. The
+    // leading read makes the reported index (1) more than a zero default.
+    let err = engine
+        .apply(s, vec![Command::Get { var: var(1) }, set(0, 1)])
+        .unwrap_err();
+    assert!(
+        matches!(err, BatchError::Panicked { index: 1, .. }),
+        "{err:?}"
+    );
     assert_eq!(dump(&engine, s), before, "panic must leave state untouched");
 
     // Mutating work is refused; reads are not.
@@ -277,11 +330,11 @@ fn try_submit_reports_backpressure() {
         s,
         vec![
             add("x"),
-            Command::AddConstraint {
-                spec: ConstraintSpec::Custom(Box::new(|| {
+            Command::AddCustomConstraint {
+                kind: KindFactory::new(|| {
                     thread::sleep(Duration::from_millis(200));
                     Rc::new(stem_core::kinds::Equality::new())
-                })),
+                }),
                 args: vec![var(0)],
             },
         ],

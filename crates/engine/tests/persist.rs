@@ -7,11 +7,9 @@ use std::fs;
 use stem_core::{Value, VarId};
 use stem_engine::{
     BatchError, Command, ConstraintSpec, Durability, DurabilityOptions, Engine, EngineConfig,
-    Output, SessionId, Source,
+    KindFactory, Output, SessionId, Source,
 };
-use stem_persist::{
-    failing_factory, ByteBudget, PersistCommand, PersistSource, Store, StoreOptions, WalRecord,
-};
+use stem_persist::{failing_factory, ByteBudget, PersistCommand, Store, StoreOptions, WalRecord};
 use stem_tempdir::TempDir;
 
 fn config() -> EngineConfig {
@@ -328,10 +326,8 @@ fn interval_sync_survives_clean_shutdown() {
 
 #[test]
 fn custom_kinds_are_rejected_only_when_durable() {
-    let custom = || Command::AddConstraint {
-        spec: ConstraintSpec::Custom(Box::new(|| {
-            std::rc::Rc::new(stem_core::kinds::Equality::new())
-        })),
+    let custom = || Command::AddCustomConstraint {
+        kind: KindFactory::new(|| std::rc::Rc::new(stem_core::kinds::Equality::new())),
         args: vec![VarId::from_index(0)],
     };
     let dir = TempDir::new("custom");
@@ -460,7 +456,7 @@ fn sequence_gap_quarantines_and_fences_stale_records() {
             commands: vec![PersistCommand::Set {
                 var: VarId::from_index(0),
                 value: Value::Int(v),
-                source: PersistSource::User,
+                source: Source::User,
             }],
         };
         store

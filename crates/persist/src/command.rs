@@ -1,235 +1,13 @@
-//! The persisted command vocabulary: a `Send`, codec-stable mirror of the
-//! engine's batch commands.
-//!
-//! The engine's own `Command` cannot be logged directly — its
-//! `ConstraintSpec::Custom` variant carries an arbitrary closure, which has
-//! no byte representation. This mirror is the closed, replayable subset;
-//! the engine converts commands into it before applying a batch and
-//! refuses custom kinds when durability is on, so everything that reaches
-//! the log is guaranteed to replay.
+//! The persisted commands: the mutating, replayable subset of the engine's
+//! batch commands, over `stem-core`'s shared [`ConstraintSpec`] and
+//! [`Source`]. A log holds only what changes state and replays: read-only
+//! commands are never logged, and custom constraint kinds (closures with
+//! no byte image) have no variant here.
 
 use stem_core::codec::{
-    put_bool, put_cid, put_f64, put_i64, put_str, put_u32, put_u8, put_value, put_var, DecodeError,
-    Reader,
+    put_bool, put_cid, put_str, put_u32, put_u8, put_value, put_var, DecodeError, Reader,
 };
-use stem_core::{ConstraintId, Value, VarId};
-
-/// A `Send` + codec-stable constraint description (the closed subset of
-/// the engine's `ConstraintSpec`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum PersistSpec {
-    /// All arguments equal.
-    Equality,
-    /// Last argument = sum of the others.
-    Sum,
-    /// Last argument = max of the others.
-    Max,
-    /// Last argument = min of the others.
-    Min,
-    /// Last argument = product of the others.
-    Product,
-    /// Last argument = `gain * first + offset`.
-    Scale {
-        /// Multiplier.
-        gain: f64,
-        /// Addend.
-        offset: f64,
-    },
-    /// Check-only predicate: every argument ≤ the bound.
-    LeConst(Value),
-    /// Check-only predicate: every argument ≥ the bound.
-    GeConst(Value),
-    /// Check-only predicate: every argument = the constant.
-    EqConst(Value),
-    /// Check-only predicate: `args[0] ≤ args[1]`.
-    Le,
-    /// Check-only predicate: `args[0] < args[1]`.
-    Lt,
-    /// Bounds-consistent domain relation `v0(x) + v1(y) = v2(z)` over
-    /// affine views `(a, b) ↦ a·x + b`; `out == None` propagates all
-    /// three ways, `Some(i)` only narrows argument `i`.
-    DomAdd {
-        /// Per-argument affine views `(a, b)`.
-        views: [(i64, i64); 3],
-        /// Directional output argument, when restricted.
-        out: Option<u8>,
-    },
-    /// Bounds-consistent domain relation `v0(x) ≤ v1(y) + c`.
-    DomLe {
-        /// The offset `c`.
-        c: i64,
-        /// Per-argument affine views `(a, b)`.
-        views: [(i64, i64); 2],
-        /// Directional output argument, when restricted.
-        out: Option<u8>,
-    },
-    /// All arguments pairwise distinct (bounds reasoning).
-    DomAllDiff,
-    /// Reified inequality: `args[0] ⇔ (v0(args[1]) ≤ v1(args[2]) + c)`.
-    DomReifLe {
-        /// The offset `c`.
-        c: i64,
-        /// Affine views over `args[1]`/`args[2]`.
-        views: [(i64, i64); 2],
-    },
-}
-
-impl PersistSpec {
-    /// Appends the spec to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>) {
-        match self {
-            PersistSpec::Equality => put_u8(buf, 0),
-            PersistSpec::Sum => put_u8(buf, 1),
-            PersistSpec::Max => put_u8(buf, 2),
-            PersistSpec::Min => put_u8(buf, 3),
-            PersistSpec::Product => put_u8(buf, 4),
-            PersistSpec::Scale { gain, offset } => {
-                put_u8(buf, 5);
-                put_f64(buf, *gain);
-                put_f64(buf, *offset);
-            }
-            PersistSpec::LeConst(v) => {
-                put_u8(buf, 6);
-                put_value(buf, v);
-            }
-            PersistSpec::GeConst(v) => {
-                put_u8(buf, 7);
-                put_value(buf, v);
-            }
-            PersistSpec::EqConst(v) => {
-                put_u8(buf, 8);
-                put_value(buf, v);
-            }
-            PersistSpec::Le => put_u8(buf, 9),
-            PersistSpec::Lt => put_u8(buf, 10),
-            PersistSpec::DomAdd { views, out } => {
-                put_u8(buf, 11);
-                for (a, b) in views {
-                    put_i64(buf, *a);
-                    put_i64(buf, *b);
-                }
-                // 255 = non-directional, mirroring the kind's `OUT_ALL`
-                // (arity is bounded well below it).
-                put_u8(buf, out.unwrap_or(u8::MAX));
-            }
-            PersistSpec::DomLe { c, views, out } => {
-                put_u8(buf, 12);
-                put_i64(buf, *c);
-                for (a, b) in views {
-                    put_i64(buf, *a);
-                    put_i64(buf, *b);
-                }
-                put_u8(buf, out.unwrap_or(u8::MAX));
-            }
-            PersistSpec::DomAllDiff => put_u8(buf, 13),
-            PersistSpec::DomReifLe { c, views } => {
-                put_u8(buf, 14);
-                put_i64(buf, *c);
-                for (a, b) in views {
-                    put_i64(buf, *a);
-                    put_i64(buf, *b);
-                }
-            }
-        }
-    }
-
-    /// Reads a spec from `r`.
-    pub fn decode(r: &mut Reader<'_>) -> Result<PersistSpec, DecodeError> {
-        let at = r.position();
-        Ok(match r.u8()? {
-            0 => PersistSpec::Equality,
-            1 => PersistSpec::Sum,
-            2 => PersistSpec::Max,
-            3 => PersistSpec::Min,
-            4 => PersistSpec::Product,
-            5 => PersistSpec::Scale {
-                gain: r.f64()?,
-                offset: r.f64()?,
-            },
-            6 => PersistSpec::LeConst(r.value()?),
-            7 => PersistSpec::GeConst(r.value()?),
-            8 => PersistSpec::EqConst(r.value()?),
-            9 => PersistSpec::Le,
-            10 => PersistSpec::Lt,
-            11 => PersistSpec::DomAdd {
-                views: [
-                    (r.i64()?, r.i64()?),
-                    (r.i64()?, r.i64()?),
-                    (r.i64()?, r.i64()?),
-                ],
-                out: match r.u8()? {
-                    u8::MAX => None,
-                    o => Some(o),
-                },
-            },
-            12 => PersistSpec::DomLe {
-                c: r.i64()?,
-                views: [(r.i64()?, r.i64()?), (r.i64()?, r.i64()?)],
-                out: match r.u8()? {
-                    u8::MAX => None,
-                    o => Some(o),
-                },
-            },
-            13 => PersistSpec::DomAllDiff,
-            14 => PersistSpec::DomReifLe {
-                c: r.i64()?,
-                views: [(r.i64()?, r.i64()?), (r.i64()?, r.i64()?)],
-            },
-            tag => {
-                return Err(DecodeError::Tag {
-                    tag,
-                    what: "PersistSpec",
-                    at,
-                })
-            }
-        })
-    }
-}
-
-/// Claimed provenance of a persisted `Set` (mirrors the engine's `Source`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PersistSource {
-    /// A direct designer edit.
-    #[default]
-    User,
-    /// A tool/application computation.
-    Application,
-    /// Consistency-maintenance refresh.
-    Update,
-    /// A class-definition default.
-    DefaultValue,
-}
-
-impl PersistSource {
-    fn encode(self, buf: &mut Vec<u8>) {
-        put_u8(
-            buf,
-            match self {
-                PersistSource::User => 0,
-                PersistSource::Application => 1,
-                PersistSource::Update => 2,
-                PersistSource::DefaultValue => 3,
-            },
-        );
-    }
-
-    fn decode(r: &mut Reader<'_>) -> Result<PersistSource, DecodeError> {
-        let at = r.position();
-        Ok(match r.u8()? {
-            0 => PersistSource::User,
-            1 => PersistSource::Application,
-            2 => PersistSource::Update,
-            3 => PersistSource::DefaultValue,
-            tag => {
-                return Err(DecodeError::Tag {
-                    tag,
-                    what: "PersistSource",
-                    at,
-                })
-            }
-        })
-    }
-}
+use stem_core::{ConstraintId, ConstraintSpec, Source, Value, VarId};
 
 /// One mutating command of a committed batch, as stored in the log.
 ///
@@ -250,7 +28,7 @@ pub enum PersistCommand {
         /// New value.
         value: Value,
         /// Claimed provenance.
-        source: PersistSource,
+        source: Source,
     },
     /// Erases a variable to `Nil`/unset without propagation.
     Unset {
@@ -260,7 +38,7 @@ pub enum PersistCommand {
     /// Installs a constraint over `args`.
     AddConstraint {
         /// What the constraint does.
-        spec: PersistSpec,
+        spec: ConstraintSpec,
         /// Its argument variables.
         args: Vec<VarId>,
     },
@@ -350,11 +128,11 @@ impl PersistCommand {
             1 => PersistCommand::Set {
                 var: r.var()?,
                 value: r.value()?,
-                source: PersistSource::decode(r)?,
+                source: Source::decode(r)?,
             },
             2 => PersistCommand::Unset { var: r.var()? },
             3 => {
-                let spec = PersistSpec::decode(r)?;
+                let spec = ConstraintSpec::decode(r)?;
                 let n = r.len()?;
                 let mut args = Vec::with_capacity(n.min(1024));
                 for _ in 0..n {

@@ -10,8 +10,9 @@
 //!
 //! - [`codec`](stem_core::codec) (in `stem-core`): stable binary encoding
 //!   for values, ids and justifications.
-//! - [`command`]: the closed, replayable command vocabulary
-//!   ([`PersistCommand`], [`PersistSpec`]) the engine logs.
+//! - [`command`]: [`PersistCommand`], the replayable subset of the
+//!   engine's commands, over `stem-core`'s shared `ConstraintSpec` and
+//!   `Source` — the log speaks the engine's and the wire's vocabulary.
 //! - [`record`]: checksummed `[len][crc][payload]` WAL frames
 //!   ([`WalRecord`]).
 //! - [`state`] / [`snapshot`]: per-session rebuildable images and the
@@ -45,7 +46,7 @@ pub mod snapshot;
 pub mod state;
 pub mod store;
 
-pub use command::{PersistCommand, PersistSource, PersistSpec};
+pub use command::PersistCommand;
 pub use fault::{failing_factory, ByteBudget, FailingFile};
 pub use group::GroupCommit;
 pub use lease::Lease;

@@ -189,8 +189,7 @@ pub fn scan_frame(buf: &[u8]) -> FrameScan<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::{PersistSource, PersistSpec};
-    use stem_core::{Value, VarId};
+    use stem_core::{ConstraintSpec, Source, Value, VarId};
 
     fn sample() -> WalRecord {
         WalRecord::Batch {
@@ -204,10 +203,10 @@ mod tests {
                 PersistCommand::Set {
                     var: VarId::from_index(0),
                     value: Value::Int(64),
-                    source: PersistSource::Application,
+                    source: Source::Application,
                 },
                 PersistCommand::AddConstraint {
-                    spec: PersistSpec::LeConst(Value::Int(128)),
+                    spec: ConstraintSpec::LeConst(Value::Int(128)),
                     args: vec![VarId::from_index(0)],
                 },
             ],
@@ -299,15 +298,15 @@ mod tests {
                 PersistCommand::Set {
                     var: VarId::from_index(0),
                     value: Value::Interval(Interval::new(-3, 4096)),
-                    source: PersistSource::User,
+                    source: Source::User,
                 },
                 PersistCommand::Set {
                     var: VarId::from_index(1),
                     value: Value::FinSet(FinSet::new(0x8000_0000_0000_0101)),
-                    source: PersistSource::Update,
+                    source: Source::Update,
                 },
                 PersistCommand::AddConstraint {
-                    spec: PersistSpec::DomAdd {
+                    spec: ConstraintSpec::DomAdd {
                         views: [(1, 0), (-1, 7), (1, -2)],
                         out: Some(2),
                     },
@@ -318,7 +317,7 @@ mod tests {
                     ],
                 },
                 PersistCommand::AddConstraint {
-                    spec: PersistSpec::DomLe {
+                    spec: ConstraintSpec::DomLe {
                         c: -4,
                         views: [(-1, 0), (-1, 0)],
                         out: None,
@@ -326,11 +325,11 @@ mod tests {
                     args: vec![VarId::from_index(0), VarId::from_index(1)],
                 },
                 PersistCommand::AddConstraint {
-                    spec: PersistSpec::DomAllDiff,
+                    spec: ConstraintSpec::DomAllDiff,
                     args: vec![VarId::from_index(1), VarId::from_index(2)],
                 },
                 PersistCommand::AddConstraint {
-                    spec: PersistSpec::DomReifLe {
+                    spec: ConstraintSpec::DomReifLe {
                         c: 9,
                         views: [(1, 1), (1, -1)],
                     },

@@ -97,9 +97,8 @@ impl Snapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::PersistSpec;
     use crate::state::SlotState;
-    use stem_core::{Justification, Value, VarId};
+    use stem_core::{ConstraintSpec, Justification, Value, VarId};
 
     fn sample() -> Snapshot {
         Snapshot {
@@ -118,7 +117,7 @@ mod tests {
                         slots: vec![
                             SlotState::Tombstone,
                             SlotState::Live {
-                                spec: PersistSpec::Scale {
+                                spec: ConstraintSpec::Scale {
                                     gain: 2.0,
                                     offset: -1.0,
                                 },

@@ -9,12 +9,11 @@
 //! (values, justifications, violation sweeps) without re-running
 //! propagation.
 
-use crate::command::PersistSpec;
 use stem_core::codec::{
     put_bool, put_justification, put_str, put_u32, put_u64, put_u8, put_value, put_var,
     DecodeError, Reader,
 };
-use stem_core::{Justification, Value};
+use stem_core::{ConstraintSpec, Justification, Value};
 
 /// One slot of the constraint arena.
 #[derive(Debug, Clone, PartialEq)]
@@ -22,7 +21,7 @@ pub enum SlotState {
     /// A live constraint: spec, argument variables, enabled flag.
     Live {
         /// What the constraint does.
-        spec: PersistSpec,
+        spec: ConstraintSpec,
         /// Its argument variables, by arena index.
         args: Vec<stem_core::VarId>,
         /// Whether it participates in propagation.
@@ -113,7 +112,7 @@ impl SessionState {
             slots.push(match r.u8()? {
                 0 => SlotState::Tombstone,
                 1 => {
-                    let spec = PersistSpec::decode(r)?;
+                    let spec = ConstraintSpec::decode(r)?;
                     let n = r.len()?;
                     let mut args = Vec::with_capacity(n.min(1024));
                     for _ in 0..n {

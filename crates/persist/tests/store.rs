@@ -4,10 +4,10 @@
 use std::fs;
 use std::io;
 
-use stem_core::{Value, VarId};
+use stem_core::{Source, Value, VarId};
 use stem_persist::{
-    failing_factory, ByteBudget, PersistCommand, PersistSource, SessionState, Snapshot, Store,
-    StoreOptions, SyncPolicy, WalRecord,
+    failing_factory, ByteBudget, PersistCommand, SessionState, Snapshot, Store, StoreOptions,
+    SyncPolicy, WalRecord,
 };
 use stem_tempdir::TempDir;
 
@@ -20,7 +20,7 @@ fn batch(session: u64, seq: u64, n: usize) -> WalRecord {
             .map(|i| PersistCommand::Set {
                 var: VarId::from_index(i),
                 value: Value::Int(seq as i64 * 100 + i as i64),
-                source: PersistSource::User,
+                source: Source::User,
             })
             .collect(),
     }

@@ -340,7 +340,7 @@ impl Client {
     pub fn submit(&mut self, session: SessionId, commands: &[Command]) -> io::Result<()> {
         let mut buf = Vec::new();
         let key = match &mut self.retry {
-            Some(retry) if commands.iter().any(is_mutating) => {
+            Some(retry) if commands.iter().any(Command::is_mutating) => {
                 let key = retry.keys.entry(session.0).or_insert(0);
                 *key += 1;
                 *key
@@ -532,15 +532,6 @@ impl Client {
             reply => Err(unexpected(&reply)),
         }
     }
-}
-
-/// Whether a command mutates session state (and thus needs an
-/// idempotence key when resent across reconnects).
-fn is_mutating(cmd: &Command) -> bool {
-    !matches!(
-        cmd,
-        Command::Get { .. } | Command::Probe { .. } | Command::DumpValues | Command::CheckAll
-    )
 }
 
 /// Replays every unanswered frame, oldest first, on a fresh connection.

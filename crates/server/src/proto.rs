@@ -25,7 +25,7 @@ use stem_engine::{
     BatchError, BatchOutcome, Command, EngineStats, Output, SessionStats, StatField,
 };
 use stem_persist::crc::crc32;
-use stem_persist::{PersistCommand, PersistSpec};
+use stem_persist::PersistCommand;
 
 /// Hard ceiling on one frame's payload (matches the WAL's record bound):
 /// anything longer is a protocol violation, not a large message.
@@ -234,15 +234,10 @@ impl Request {
             0 => Request::Ping,
             1 => Request::Open,
             2 => Request::Close { session: r.u64()? },
-            3 => {
-                let session = r.u64()?;
-                let n = r.len()?;
-                let mut commands = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    commands.push(read_command(r)?);
-                }
-                Request::Submit { session, commands }
-            }
+            3 => Request::Submit {
+                session: r.u64()?,
+                commands: read_commands(r)?,
+            },
             4 => Request::Stats,
             5 => Request::SessionStats { session: r.u64()? },
             6 => Request::SealWal,
@@ -256,20 +251,11 @@ impl Request {
             },
             11 => Request::Promote,
             12 => Request::Shutdown,
-            13 => {
-                let session = r.u64()?;
-                let key = r.u64()?;
-                let n = r.len()?;
-                let mut commands = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    commands.push(read_command(r)?);
-                }
-                Request::SubmitSeq {
-                    session,
-                    key,
-                    commands,
-                }
-            }
+            13 => Request::SubmitSeq {
+                session: r.u64()?,
+                key: r.u64()?,
+                commands: read_commands(r)?,
+            },
             14 => Request::Lease { session: r.u64()? },
             15 => Request::CatchUp,
             tag => {
@@ -288,11 +274,7 @@ impl Request {
 pub fn put_submit(buf: &mut Vec<u8>, session: u64, commands: &[Command]) -> io::Result<()> {
     put_u8(buf, 3);
     put_u64(buf, session);
-    put_u32(buf, commands.len() as u32);
-    for cmd in commands {
-        put_command(buf, cmd)?;
-    }
-    Ok(())
+    put_commands(buf, commands)
 }
 
 /// Encodes a [`Request::SubmitSeq`] from borrowed commands, for the
@@ -306,56 +288,12 @@ pub fn put_submit_keyed(
     put_u8(buf, 13);
     put_u64(buf, session);
     put_u64(buf, key);
-    put_u32(buf, commands.len() as u32);
-    for cmd in commands {
-        put_command(buf, cmd)?;
-    }
-    Ok(())
+    put_commands(buf, commands)
 }
 
 // ---------------------------------------------------------------------
 // Commands on the wire
 // ---------------------------------------------------------------------
-
-/// Rebuilds a [`PersistCommand`] image of a mutating engine command.
-/// `None` for read-only commands (they have their own wire tags) —
-/// `Err`-like `None` also for a custom kind factory, which cannot cross a
-/// process boundary.
-fn to_persist(cmd: &Command) -> Option<PersistCommand> {
-    Some(match cmd {
-        Command::AddVariable { name } => PersistCommand::AddVariable { name: name.clone() },
-        Command::Set { var, value, source } => PersistCommand::Set {
-            var: *var,
-            value: value.clone(),
-            source: (*source).into(),
-        },
-        Command::Unset { var } => PersistCommand::Unset { var: *var },
-        Command::AddConstraint { spec, args } => PersistCommand::AddConstraint {
-            spec: PersistSpec::try_from(spec).ok()?,
-            args: args.clone(),
-        },
-        Command::RemoveConstraint { constraint } => PersistCommand::RemoveConstraint {
-            constraint: *constraint,
-        },
-        Command::EnableConstraint {
-            constraint,
-            enabled,
-        } => PersistCommand::EnableConstraint {
-            constraint: *constraint,
-            enabled: *enabled,
-        },
-        Command::SetKindEnabled { kind_name, enabled } => PersistCommand::SetKindEnabled {
-            kind_name: kind_name.clone(),
-            enabled: *enabled,
-        },
-        Command::SetValueChangeLimit { limit } => {
-            PersistCommand::SetValueChangeLimit { limit: *limit }
-        }
-        Command::Get { .. } | Command::Probe { .. } | Command::DumpValues | Command::CheckAll => {
-            return None
-        }
-    })
-}
 
 /// Appends one command: mutating commands as tag 0 + their WAL encoding,
 /// read-only commands with wire tags of their own.
@@ -373,7 +311,7 @@ pub fn put_command(buf: &mut Vec<u8>, cmd: &Command) -> io::Result<()> {
         Command::DumpValues => put_u8(buf, 3),
         Command::CheckAll => put_u8(buf, 4),
         mutating => {
-            let Some(p) = to_persist(mutating) else {
+            let Some(p) = mutating.to_persist() else {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     "custom constraint kinds cannot be submitted over the wire",
@@ -384,6 +322,22 @@ pub fn put_command(buf: &mut Vec<u8>, cmd: &Command) -> io::Result<()> {
         }
     }
     Ok(())
+}
+
+/// Appends a length-prefixed command list.
+fn put_commands(buf: &mut Vec<u8>, commands: &[Command]) -> io::Result<()> {
+    put_u32(buf, commands.len() as u32);
+    commands.iter().try_for_each(|cmd| put_command(buf, cmd))
+}
+
+/// Reads a length-prefixed command list.
+fn read_commands(r: &mut Reader<'_>) -> Result<Vec<Command>, DecodeError> {
+    let n = r.len()?;
+    let mut commands = Vec::with_capacity(n.min(1024));
+    for _ in 0..n {
+        commands.push(read_command(r)?);
+    }
+    Ok(commands)
 }
 
 /// Decodes one command.

@@ -7,9 +7,10 @@ use std::io::Cursor;
 use stem_core::codec::Reader;
 use stem_core::{ConstraintId, FinSet, Interval, Justification, Value, VarId, Violation};
 use stem_engine::{
-    BatchError, BatchOutcome, Command, ConstraintSpec, EngineStats, Output, SessionStats, Source,
-    N_LATENCY_BUCKETS,
+    BatchError, BatchOutcome, Command, ConstraintSpec, EngineStats, KindFactory, Output,
+    SessionStats, Source, N_LATENCY_BUCKETS,
 };
+use stem_persist::WalRecord;
 use stem_server::proto::{read_frame, write_frame, Reply, Request, MAX_FRAME_LEN};
 
 fn frame_bytes(payload: &[u8]) -> Vec<u8> {
@@ -61,45 +62,7 @@ fn sample_requests() -> Vec<Request> {
         Request::Close { session: 7 },
         Request::Submit {
             session: 3,
-            commands: vec![
-                Command::AddVariable { name: "α".into() },
-                Command::Set {
-                    var: VarId::from_index(0),
-                    value: Value::List(vec![Value::Int(1), Value::str("x")]),
-                    source: Source::Application,
-                },
-                Command::Unset {
-                    var: VarId::from_index(1),
-                },
-                Command::AddConstraint {
-                    spec: ConstraintSpec::Scale {
-                        gain: 2.5,
-                        offset: -1.0,
-                    },
-                    args: vec![VarId::from_index(0), VarId::from_index(1)],
-                },
-                Command::RemoveConstraint {
-                    constraint: ConstraintId::from_index(4),
-                },
-                Command::EnableConstraint {
-                    constraint: ConstraintId::from_index(2),
-                    enabled: false,
-                },
-                Command::SetKindEnabled {
-                    kind_name: "sum".into(),
-                    enabled: true,
-                },
-                Command::SetValueChangeLimit { limit: 3 },
-                Command::Get {
-                    var: VarId::from_index(9),
-                },
-                Command::Probe {
-                    var: VarId::from_index(2),
-                    value: Value::Float(0.5),
-                },
-                Command::DumpValues,
-                Command::CheckAll,
-            ],
+            commands: pinned_commands().into_iter().map(|(cmd, _)| cmd).collect(),
         },
         Request::Stats,
         Request::SessionStats { session: 11 },
@@ -117,68 +80,37 @@ fn sample_requests() -> Vec<Request> {
         Request::SubmitSeq {
             session: 6,
             key: 41,
-            commands: vec![
-                Command::AddVariable { name: "w".into() },
-                Command::Set {
-                    var: VarId::from_index(0),
-                    value: Value::Int(8),
-                    source: Source::User,
-                },
-            ],
+            commands: pinned_commands()
+                .into_iter()
+                .take(2)
+                .map(|(cmd, _)| cmd)
+                .collect(),
         },
         Request::Lease { session: 5 },
         Request::CatchUp,
-        // A domain session over the wire: interval/finite-set values and
-        // every domain constraint spec must survive the round trip.
+        // Value shapes the pinned commands leave out: a non-ASCII name, a
+        // list, and interval/finite-set domains.
         Request::Submit {
             session: 9,
             commands: vec![
+                Command::AddVariable { name: "α".into() },
                 Command::Set {
-                    var: VarId::from_index(0),
+                    var: var(0),
+                    value: Value::List(vec![Value::Int(1), Value::str("x")]),
+                    source: Source::Application,
+                },
+                Command::Set {
+                    var: var(0),
                     value: Value::Interval(Interval::new(-5, 4096)),
                     source: Source::User,
                 },
                 Command::Set {
-                    var: VarId::from_index(1),
+                    var: var(1),
                     value: Value::FinSet(FinSet::new(0x8000_0000_0000_0011)),
                     source: Source::Update,
                 },
-                Command::AddConstraint {
-                    spec: ConstraintSpec::DomAdd {
-                        views: [(1, 0), (-1, 3), (1, 0)],
-                        out: Some(2),
-                    },
-                    args: vec![
-                        VarId::from_index(0),
-                        VarId::from_index(1),
-                        VarId::from_index(2),
-                    ],
-                },
-                Command::AddConstraint {
-                    spec: ConstraintSpec::DomLe {
-                        c: -7,
-                        views: [(-1, 0), (-1, 0)],
-                        out: None,
-                    },
-                    args: vec![VarId::from_index(0), VarId::from_index(1)],
-                },
-                Command::AddConstraint {
-                    spec: ConstraintSpec::DomAllDiff,
-                    args: vec![VarId::from_index(0), VarId::from_index(1)],
-                },
-                Command::AddConstraint {
-                    spec: ConstraintSpec::DomReifLe {
-                        c: 2,
-                        views: [(1, 0), (1, 0)],
-                    },
-                    args: vec![
-                        VarId::from_index(3),
-                        VarId::from_index(0),
-                        VarId::from_index(1),
-                    ],
-                },
                 Command::Probe {
-                    var: VarId::from_index(2),
+                    var: var(2),
                     value: Value::Interval(Interval::new(i64::MIN, i64::MAX)),
                 },
             ],
@@ -382,10 +314,8 @@ fn unknown_tags_are_rejected() {
 fn custom_kinds_are_refused_at_encode_time() {
     let req = Request::Submit {
         session: 0,
-        commands: vec![Command::AddConstraint {
-            spec: ConstraintSpec::Custom(Box::new(|| {
-                std::rc::Rc::new(stem_core::kinds::Equality::new())
-            })),
+        commands: vec![Command::AddCustomConstraint {
+            kind: KindFactory::new(|| std::rc::Rc::new(stem_core::kinds::Equality::new())),
             args: vec![],
         }],
     };
@@ -503,6 +433,214 @@ fn stats_replies_have_a_pinned_field_order() {
         Reply::SessionStats(back) => assert_eq!(back, session),
         other => panic!("expected SessionStats, got {other:?}"),
     }
+}
+
+/// Little-endian images of the codec primitives, spelled out so the pinned
+/// layouts below do not lean on the encoder they pin.
+fn w(x: u32) -> Vec<u8> {
+    x.to_le_bytes().to_vec()
+}
+
+fn q(x: u64) -> Vec<u8> {
+    x.to_le_bytes().to_vec()
+}
+
+fn i(x: i64) -> Vec<u8> {
+    x.to_le_bytes().to_vec()
+}
+
+fn f(x: f64) -> Vec<u8> {
+    x.to_bits().to_le_bytes().to_vec()
+}
+
+fn var(ix: usize) -> VarId {
+    VarId::from_index(ix)
+}
+
+/// Every built-in constraint spec (both `out` shapes of the directional
+/// domain relations) beside its pinned encoding: tag byte, then fields.
+fn pinned_specs() -> Vec<(ConstraintSpec, Vec<u8>)> {
+    vec![
+        (ConstraintSpec::Equality, vec![0]),
+        (ConstraintSpec::Sum, vec![1]),
+        (ConstraintSpec::Max, vec![2]),
+        (ConstraintSpec::Min, vec![3]),
+        (ConstraintSpec::Product, vec![4]),
+        (
+            ConstraintSpec::Scale {
+                gain: 1.5,
+                offset: -0.25,
+            },
+            [vec![5], f(1.5), f(-0.25)].concat(),
+        ),
+        (
+            ConstraintSpec::LeConst(Value::Int(128)),
+            [vec![6, 2], i(128)].concat(),
+        ),
+        (
+            ConstraintSpec::GeConst(Value::Float(2.5)),
+            [vec![7, 3], f(2.5)].concat(),
+        ),
+        (ConstraintSpec::EqConst(Value::Bool(true)), vec![8, 1, 1]),
+        (ConstraintSpec::Le, vec![9]),
+        (ConstraintSpec::Lt, vec![10]),
+        (
+            ConstraintSpec::DomAdd {
+                views: [(1, 0), (2, -3), (-1, 5)],
+                out: Some(2),
+            },
+            [vec![11], i(1), i(0), i(2), i(-3), i(-1), i(5), vec![2]].concat(),
+        ),
+        (
+            ConstraintSpec::DomAdd {
+                views: [(1, 0), (1, 0), (1, 0)],
+                out: None,
+            },
+            [vec![11], i(1), i(0), i(1), i(0), i(1), i(0), vec![255]].concat(),
+        ),
+        (
+            ConstraintSpec::DomLe {
+                c: -4,
+                views: [(1, 2), (3, 0)],
+                out: Some(1),
+            },
+            [vec![12], i(-4), i(1), i(2), i(3), i(0), vec![1]].concat(),
+        ),
+        (
+            ConstraintSpec::DomLe {
+                c: 0,
+                views: [(1, 0), (-1, 0)],
+                out: None,
+            },
+            [vec![12], i(0), i(1), i(0), i(-1), i(0), vec![255]].concat(),
+        ),
+        (ConstraintSpec::DomAllDiff, vec![13]),
+        (
+            ConstraintSpec::DomReifLe {
+                c: 6,
+                views: [(2, 1), (1, -1)],
+            },
+            [vec![14], i(6), i(2), i(1), i(1), i(-1)].concat(),
+        ),
+    ]
+}
+
+/// Every command — each claimed source, each pinned spec — beside its
+/// pinned encoding: for a mutating command the bytes a WAL record carries
+/// and a wire frame nests after tag 0, for a read-only command its wire
+/// bytes.
+fn pinned_commands() -> Vec<(Command, Vec<u8>)> {
+    let mut cases = vec![(
+        Command::AddVariable { name: "a".into() },
+        [vec![0], w(1), b"a".to_vec()].concat(),
+    )];
+    for (tag, source) in [
+        (0, Source::User),
+        (1, Source::Application),
+        (2, Source::Update),
+        (3, Source::DefaultValue),
+    ] {
+        cases.push((
+            Command::Set {
+                var: var(1),
+                value: Value::Int(7),
+                source,
+            },
+            [vec![1], w(1), vec![2], i(7), vec![tag]].concat(),
+        ));
+    }
+    cases.push((Command::Unset { var: var(2) }, [vec![2], w(2)].concat()));
+    for (spec, bytes) in pinned_specs() {
+        cases.push((
+            Command::AddConstraint {
+                spec,
+                args: vec![var(0), var(1), var(2)],
+            },
+            [vec![3], bytes, w(3), w(0), w(1), w(2)].concat(),
+        ));
+    }
+    cases.extend([
+        (
+            Command::RemoveConstraint {
+                constraint: ConstraintId::from_index(4),
+            },
+            [vec![4], w(4)].concat(),
+        ),
+        (
+            Command::EnableConstraint {
+                constraint: ConstraintId::from_index(5),
+                enabled: false,
+            },
+            [vec![5], w(5), vec![0]].concat(),
+        ),
+        (
+            Command::SetKindEnabled {
+                kind_name: "equality".into(),
+                enabled: true,
+            },
+            [vec![6], w(8), b"equality".to_vec(), vec![1]].concat(),
+        ),
+        (
+            Command::SetValueChangeLimit { limit: 3 },
+            [vec![7], w(3)].concat(),
+        ),
+        (Command::Get { var: var(1) }, [vec![1], w(1)].concat()),
+        (
+            Command::Probe {
+                var: var(2),
+                value: Value::Float(0.5),
+            },
+            [vec![2], w(2), vec![3], f(0.5)].concat(),
+        ),
+        (Command::DumpValues, vec![3]),
+        (Command::CheckAll, vec![4]),
+    ]);
+    cases
+}
+
+/// Pins the command vocabulary's bytes on the wire and in the log. A
+/// round trip would not catch a tag renumbered on both sides, which
+/// would still break every existing store and peer; exact bytes do.
+#[test]
+fn command_vocabulary_bytes_are_pinned() {
+    let pinned = pinned_commands();
+
+    // The log: one batch record carrying every mutating command.
+    let mutating: Vec<_> = pinned.iter().filter(|(cmd, _)| cmd.is_mutating()).collect();
+    let mut wal_expected = [vec![0], q(7), q(3), q(9), w(mutating.len() as u32)].concat();
+    for (_, bytes) in &mutating {
+        wal_expected.extend_from_slice(bytes);
+    }
+    let record = WalRecord::Batch {
+        session: 7,
+        seq: 3,
+        key: 9,
+        commands: mutating
+            .iter()
+            .map(|(cmd, _)| cmd.to_persist().expect("a mutating built-in command"))
+            .collect(),
+    };
+    assert_eq!(record.encode_payload(), wal_expected);
+    assert_eq!(WalRecord::decode_payload(&wal_expected).unwrap(), record);
+
+    // The wire: one submit frame, mutating commands as tag 0 + their log
+    // bytes, read-only commands under tags of their own.
+    let mut wire_expected = [vec![3], q(11), w(pinned.len() as u32)].concat();
+    for (cmd, bytes) in &pinned {
+        if cmd.is_mutating() {
+            wire_expected.push(0);
+        }
+        wire_expected.extend_from_slice(bytes);
+    }
+    let request = Request::Submit {
+        session: 11,
+        commands: pinned.into_iter().map(|(cmd, _)| cmd).collect(),
+    };
+    let mut buf = Vec::new();
+    request.encode(&mut buf).unwrap();
+    assert_eq!(buf, wire_expected);
+    let back = Request::decode(&mut Reader::new(&buf)).unwrap();
+    assert_eq!(format!("{back:?}"), format!("{request:?}"));
 }
 
 /// `EngineStats::absorb`, the cluster roll-up: every counter and latency

@@ -230,6 +230,42 @@ fn malformed_frames_get_an_error_reply_and_close_the_connection() {
     c.ping().unwrap();
 }
 
+/// A malformed domain spec from a remote client is an ordinary rejected
+/// command: the codec carries any `out` byte, so the engine must refuse it
+/// before building the kind rather than panic and quarantine the session.
+#[test]
+fn malformed_domain_spec_is_rejected_not_quarantined_over_tcp() {
+    let server = spawn_server();
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let s = c.open().unwrap();
+    let vars: Vec<Command> = ["x", "y", "z"]
+        .map(|name| Command::AddVariable { name: name.into() })
+        .into();
+    c.apply(s, &vars).unwrap().unwrap();
+    let err = c
+        .apply(
+            s,
+            &[Command::AddConstraint {
+                spec: ConstraintSpec::DomAdd {
+                    views: [(1, 0); 3],
+                    out: Some(7),
+                },
+                args: (0..3).map(VarId::from_index).collect(),
+            }],
+        )
+        .unwrap()
+        .unwrap_err();
+    assert!(
+        matches!(err, BatchError::InvalidCommand { index: 0, .. }),
+        "{err:?}"
+    );
+    c.apply(s, &[set(0, 5)])
+        .unwrap()
+        .expect("next write commits");
+    assert!(!c.session_stats(s).unwrap().quarantined);
+    assert_eq!(c.stats().unwrap().panics, 0);
+}
+
 #[test]
 fn shutdown_request_stops_the_server() {
     let server = spawn_server();
